@@ -24,9 +24,12 @@ race: vet
 # detector (the parallel fan-outs must be bitwise reproducible at any
 # worker count; the full -race suite stays in `make race`), the coverage
 # floor, a short fuzz smoke over the lease protocol and journal replay,
-# and the subprocess kill -9 recovery loop.
-check: test vet cover fuzz-smoke e2e-crash e2e-eco e2e-shard e2e-rebalance e2e-yield
+# the subprocess kill -9 recovery loop, and — because every job runs on
+# the lease queue — the dispatch chaos suite and the whole queue package
+# under the race detector.
+check: test vet cover fuzz-smoke e2e-crash e2e-eco e2e-shard e2e-rebalance e2e-yield e2e-dispatch
 	$(GO) test -race -run Parallel . ./internal/...
+	$(GO) test -race ./internal/jobq
 
 # Coverage with floors: internal/obs (the telemetry layer every solver
 # calls into), the serving stack (jobq, rescache, server, dispatch), and

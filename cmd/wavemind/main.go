@@ -23,8 +23,8 @@
 //
 // Roles:
 //
-//	serve        (default) the PR 4 single-process service: every job
-//	             solves in this process.
+//	serve        (default) the single-process service: every job runs
+//	             on this process's worker pool.
 //	coordinator  the same HTTP API plus the /v1/dispatch/* pull protocol:
 //	             `-role=worker` processes lease jobs, heartbeat while
 //	             solving, and deliver results; lapsed leases requeue with
@@ -32,6 +32,10 @@
 //	             on) the local pool still runs whatever no worker claims.
 //	worker       no HTTP API; joins the coordinator at -join and pulls
 //	             jobs until SIGTERM or the coordinator drains.
+//
+// Every role runs a job the same way — a serializable job spec on the
+// lease queue, executed by the same function — so results are
+// byte-identical whichever process solves them.
 //
 // Submit work with POST /v1/optimize ({"tree": <wavemin-clocktree-v1>,
 // "config": {...}}), poll GET /v1/jobs/{id}, fetch GET

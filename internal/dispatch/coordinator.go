@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"wavemin/internal/jobq"
-	"wavemin/internal/obs"
 )
 
 // Options configures a Coordinator. Zero values take the defaults noted.
@@ -26,9 +25,10 @@ type Options struct {
 	// SweepInterval is how often lapsed leases are requeued and dead-
 	// context jobs culled (default LeaseTTL/4).
 	SweepInterval time.Duration
-	// LocalExec lets the queue's own worker pool execute dispatched jobs
-	// too, so a coordinator with zero remote workers still makes progress
-	// — the hybrid default for `wavemind -role=coordinator`.
+	// LocalExec lets the queue's own worker pool execute jobs too, so a
+	// coordinator with zero remote workers still makes progress — the
+	// hybrid default for `wavemind -role=coordinator`, and the only
+	// executor of a server that mounts no dispatch protocol.
 	LocalExec bool
 	// SolverWorkers caps solver parallelism for locally-executed jobs
 	// (0 = uncapped). Results are identical for every cap.
@@ -84,9 +84,10 @@ type Metrics struct {
 	StaleRejected int64 // mutations rejected for a stale/unknown lease
 }
 
-// Coordinator owns the server side of the dispatch protocol: it turns a
-// jobq.Queue's leasable jobs into HTTP lease/heartbeat/complete/fail
-// endpoints and sweeps lapsed leases back into the queue.
+// Coordinator owns the execution side of a jobq.Queue whose payloads are
+// JobSpecs: the local executor (Options.LocalExec), the lease sweeper
+// that puts lapsed leases back into the queue, and the HTTP
+// lease/heartbeat/complete/fail endpoints remote workers pull over.
 type Coordinator struct {
 	q    *jobq.Queue
 	opts Options
@@ -157,8 +158,6 @@ func (c *Coordinator) sweep() {
 	}
 }
 
-// Close stops the lease sweeper. It does not drain the queue — that is
-// the owner's job (Server.Drain / Queue.Drain).
 // ShardLabel returns the label lease grants currently carry.
 func (c *Coordinator) ShardLabel() string {
 	s, _ := c.shardLabel.Load().(string)
@@ -173,38 +172,11 @@ func (c *Coordinator) SetShardLabel(label string) {
 	c.shardLabel.Store(label)
 }
 
+// Close stops the lease sweeper. It does not drain the queue — that is
+// the owner's job (Server.Drain / Queue.Drain).
 func (c *Coordinator) Close() {
 	c.stopOnce.Do(func() { close(c.stop) })
 	c.sweeper.Wait()
-}
-
-// Submit enqueues one job for dispatch. The spec travels to whichever
-// worker leases the job (or to the local executor); tr, when non-nil,
-// accumulates the deterministic dispatch span tree (see TraceObserver);
-// observe, when non-nil, additionally sees every lease event (under the
-// queue lock — it must not call back into the queue). The returned
-// ticket resolves when the job is terminal; its Outcome is a (*Outcome,
-// nil) pair on success.
-func (c *Coordinator) Submit(ctx context.Context, pri jobq.Priority, spec *JobSpec, tr *obs.Trace, observe func(jobq.LeaseEvent)) (*jobq.Ticket, error) {
-	if spec == nil {
-		return nil, errors.New("dispatch: nil spec")
-	}
-	return c.q.SubmitLeasable(ctx, pri, spec, composeObservers(TraceObserver(tr), observe))
-}
-
-// SubmitSub enqueues a sub-lease: one sub-unit (a yield sample chunk) of
-// an already-accepted parent job. Sub-leases ride the same lease
-// protocol — workers cannot tell them apart — but are never journaled
-// (the parent re-derives them on recovery) and never persisted to the
-// result store (spec.Key is empty and NoCache is set by the caller).
-// During drain this returns jobq.ErrDraining and the caller must run the
-// chunk inline; the chunk determinism contract makes the fallback
-// byte-identical.
-func (c *Coordinator) SubmitSub(ctx context.Context, pri jobq.Priority, spec *JobSpec, observe func(jobq.LeaseEvent)) (*jobq.Ticket, error) {
-	if spec == nil || spec.Yield == nil {
-		return nil, errors.New("dispatch: sub-lease requires a yield chunk spec")
-	}
-	return c.q.SubmitSubLease(ctx, pri, spec, observe)
 }
 
 // MetricsSnapshot returns the coordinator's protocol counters.
@@ -386,7 +358,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 
 	spec, ok := lease.Payload.(*JobSpec)
 	if !ok {
-		// Not reachable through Submit; fail the job rather than strand it.
+		// Only JobSpecs are ever queued; fail the job rather than strand it.
 		_ = c.q.Fail(lease.ID, fmt.Errorf("dispatch: unexpected payload %T", lease.Payload), false)
 		writeWireError(w, &wireError{status: http.StatusInternalServerError, code: "bad_payload",
 			message: "leased job carried a non-dispatch payload"})

@@ -1,8 +1,9 @@
-// Package dispatch is the wavemind coordinator/worker layer: it lets
-// separate `wavemind -role=worker` processes pull optimization jobs from
-// a coordinator's queue (internal/jobq) over a small HTTP protocol —
-// lease, heartbeat, complete, fail — so one service instance can fan
-// WaveMin solves out across a fleet.
+// Package dispatch is the wavemind execution layer: every job the
+// service runs is a JobSpec on a lease queue (internal/jobq), executed
+// by ExecuteSpec — on the queue's own worker pool (the local executor)
+// or in a separate `wavemind -role=worker` process that pulls it over a
+// small HTTP protocol — lease, heartbeat, complete, fail — so one
+// service instance can fan WaveMin solves out across a fleet.
 //
 // The protocol is pull-based and lease-guarded. A worker leases the next
 // job, heartbeats while it solves, and completes (or fails) the lease.
@@ -13,12 +14,12 @@
 // requeued, already resolved) are rejected on every mutation, so a
 // delayed or replayed completion can never double-apply a result.
 //
-// The execution contract matches local serving exactly: per-job
+// The execution contract is the same wherever a job runs: per-job
 // deadlines keep ticking while a job is queued or leased, degraded
 // results are never cached, and the canonical result bytes produced by
 // ExecuteSpec are bitwise identical wherever and however often the job
-// runs — the worker re-derives the design from the same canonical tree
-// bytes, and wall-clock fields (Runtime, Stats) are zeroed before
+// runs — every executor re-derives the design from the same canonical
+// tree bytes, and wall-clock fields (Runtime, Stats) are zeroed before
 // marshaling. A requeued job therefore returns exactly the bytes an
 // uninterrupted run would have produced.
 package dispatch
@@ -168,9 +169,9 @@ func ExecuteSpec(ctx context.Context, spec *JobSpec, solverWorkers int) (*Outcom
 	}
 
 	// Canonical bytes: strip every wall-clock-dependent field so the
-	// marshaled result is a pure function of the spec. The local (PR 4)
-	// path keeps Runtime because it never re-executes; the dispatch path
-	// must survive requeues and re-execution byte-identically.
+	// marshaled result is a pure function of the spec — requeues,
+	// re-execution and the local/remote choice all reproduce it
+	// byte-identically.
 	res.Stats = nil
 	res.Runtime = 0
 	blob, err := json.Marshal(res)
@@ -237,7 +238,7 @@ func executeYieldChunk(ctx context.Context, spec *JobSpec) (*Outcome, error) {
 // span content, so StripTiming(events) is byte-identical however many
 // workers served the job.
 //
-// The callback runs under the jobq lock (see jobq.SubmitLeasable): it
+// The callback runs under the jobq lock (see jobq.LeaseEvent): it
 // touches only the trace, never the queue.
 func TraceObserver(tr *obs.Trace) func(jobq.LeaseEvent) {
 	if tr == nil {
@@ -285,27 +286,6 @@ func TraceObserver(tr *obs.Trace) func(jobq.LeaseEvent) {
 			root.SetAttr("outcome", "exhausted")
 			root.SetAttr("attempts", fmt.Sprintf("%d", ev.Attempt))
 			root.End()
-		}
-	}
-}
-
-// composeObservers chains lease-event callbacks, skipping nils.
-func composeObservers(fns ...func(jobq.LeaseEvent)) func(jobq.LeaseEvent) {
-	var live []func(jobq.LeaseEvent)
-	for _, fn := range fns {
-		if fn != nil {
-			live = append(live, fn)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return func(ev jobq.LeaseEvent) {
-		for _, fn := range live {
-			fn(ev)
 		}
 	}
 }

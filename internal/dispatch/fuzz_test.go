@@ -225,7 +225,7 @@ func getFuzzEnv(t testing.TB) *fuzzEnv {
 		env := &fuzzEnv{ts: ts}
 		for i := 0; i < 4; i++ {
 			payload := &JobSpec{Tree: json.RawMessage(`{}`), Key: fmt.Sprintf("k%d", i)}
-			if _, err := c.Submit(context.Background(), jobq.Normal, payload, nil, nil); err != nil {
+			if _, err := q.SubmitLeasable(context.Background(), jobq.Normal, payload, nil); err != nil {
 				panic(err)
 			}
 		}

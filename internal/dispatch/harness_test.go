@@ -95,9 +95,9 @@ func (tc *testCoord) submit(spec *JobSpec, timeout time.Duration) *jobq.Ticket {
 		spec = cloneSpec(spec)
 		spec.Deadline = time.Now().Add(timeout)
 	}
-	tk, err := tc.c.Submit(ctx, jobq.Normal, spec, nil, nil)
+	tk, err := tc.q.SubmitLeasable(ctx, jobq.Normal, spec, nil)
 	if err != nil {
-		tc.t.Fatalf("Submit: %v", err)
+		tc.t.Fatalf("SubmitLeasable: %v", err)
 	}
 	return tk
 }

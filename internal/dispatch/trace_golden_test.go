@@ -61,9 +61,9 @@ func dispatchTraceBytes(t *testing.T, solverWorkers int) []byte {
 	t.Cleanup(c.Close)
 
 	tr := obs.New(obs.Options{})
-	tk, err := c.Submit(context.Background(), jobq.Normal, spec, tr, nil)
+	tk, err := q.SubmitLeasable(context.Background(), jobq.Normal, spec, TraceObserver(tr))
 	if err != nil {
-		t.Fatalf("Submit: %v", err)
+		t.Fatalf("SubmitLeasable: %v", err)
 	}
 
 	// Attempt 1: leased, heartbeats lapse, requeued.

@@ -13,7 +13,7 @@ import (
 // must still drain low- and normal-priority jobs. Regression for the
 // strict-priority scheduler, which would pin the low lanes forever.
 func TestNoStarvationUnderHighPriorityStream(t *testing.T) {
-	q := New(256, 1)
+	q := newFuncQueue(256, 1)
 	defer q.Drain(context.Background())
 
 	var lowDone, normalDone sync.WaitGroup
@@ -21,12 +21,12 @@ func TestNoStarvationUnderHighPriorityStream(t *testing.T) {
 	lowDone.Add(nLow)
 	normalDone.Add(nNormal)
 	for i := 0; i < nLow; i++ {
-		if err := q.Submit(context.Background(), Low, func(ctx context.Context) { lowDone.Done() }); err != nil {
+		if err := submitFn(q, context.Background(), Low, func(ctx context.Context) { lowDone.Done() }); err != nil {
 			t.Fatalf("submit low %d: %v", i, err)
 		}
 	}
 	for i := 0; i < nNormal; i++ {
-		if err := q.Submit(context.Background(), Normal, func(ctx context.Context) { normalDone.Done() }); err != nil {
+		if err := submitFn(q, context.Background(), Normal, func(ctx context.Context) { normalDone.Done() }); err != nil {
 			t.Fatalf("submit normal %d: %v", i, err)
 		}
 	}
@@ -45,7 +45,7 @@ func TestNoStarvationUnderHighPriorityStream(t *testing.T) {
 		default:
 		}
 		streamWG.Add(1)
-		err := q.Submit(context.Background(), High, func(ctx context.Context) {
+		err := submitFn(q, context.Background(), High, func(ctx context.Context) {
 			defer streamWG.Done()
 			resubmit()
 		})
@@ -77,12 +77,12 @@ func TestNoStarvationUnderHighPriorityStream(t *testing.T) {
 // deterministic dequeue sequence: with a full high lane and one low job,
 // the low job runs after at most fairShare high jobs.
 func TestFairShareBoundsStarvation(t *testing.T) {
-	q := New(256, 1)
+	q := newFuncQueue(256, 1)
 	defer q.Drain(context.Background())
 
 	// Stall the single worker so we can enqueue a deterministic backlog.
 	gate := make(chan struct{})
-	if err := q.Submit(context.Background(), High, func(ctx context.Context) { <-gate }); err != nil {
+	if err := submitFn(q, context.Background(), High, func(ctx context.Context) { <-gate }); err != nil {
 		t.Fatalf("submit gate: %v", err)
 	}
 	time.Sleep(10 * time.Millisecond) // worker picks up the gate job
@@ -96,12 +96,12 @@ func TestFairShareBoundsStarvation(t *testing.T) {
 			mu.Unlock()
 		}
 	}
-	if err := q.Submit(context.Background(), Low, record("low")); err != nil {
+	if err := submitFn(q, context.Background(), Low, record("low")); err != nil {
 		t.Fatalf("submit low: %v", err)
 	}
 	const nHigh = 3 * fairShare
 	for i := 0; i < nHigh; i++ {
-		if err := q.Submit(context.Background(), High, record("high")); err != nil {
+		if err := submitFn(q, context.Background(), High, record("high")); err != nil {
 			t.Fatalf("submit high %d: %v", i, err)
 		}
 	}
@@ -131,7 +131,7 @@ func TestFairShareBoundsStarvation(t *testing.T) {
 // estimator from many goroutines while reading RetryAfter, pinning that
 // the estimate stays positive and finite throughout.
 func TestRetryAfterPositiveFiniteUnderConcurrentUpdates(t *testing.T) {
-	q := New(1024, 8)
+	q := newFuncQueue(1024, 8)
 	defer q.Drain(context.Background())
 
 	var stop atomic.Bool
@@ -157,7 +157,7 @@ func TestRetryAfterPositiveFiniteUnderConcurrentUpdates(t *testing.T) {
 	var jobs sync.WaitGroup
 	for i := 0; i < 400; i++ {
 		jobs.Add(1)
-		err := q.Submit(context.Background(), Priority(i%3), func(ctx context.Context) {
+		err := submitFn(q, context.Background(), Priority(i%3), func(ctx context.Context) {
 			defer jobs.Done()
 			if rand := time.Duration(1); rand > 0 {
 				time.Sleep(time.Microsecond)

@@ -1,36 +1,34 @@
-// Package jobq is a bounded, prioritized job queue with graceful drain —
-// the execution backbone of the wavemind batch optimization service.
+// Package jobq is a bounded, prioritized lease queue with graceful
+// drain — the execution backbone of the wavemind batch optimization
+// service.
 //
-// Jobs are submitted into one of three priority lanes and executed by a
-// fixed pool of workers, highest lane first, FIFO within a lane, with a
-// starvation guard: a lane passed over for fairShare consecutive
-// dequeues gets the next slot, so a continuous high-priority stream
-// cannot pin low-priority work in the backlog forever. The queue is
-// bounded: when the backlog is at capacity Submit fails fast with
-// ErrFull so the caller can push back (HTTP 429) instead of letting
-// latency grow without bound. Draining stops intake (ErrDraining) while
-// the workers finish every job already accepted — the SIGTERM story.
+// Every job carries an opaque payload in one of three priority lanes,
+// served highest lane first, FIFO within a lane, with a starvation
+// guard: a lane passed over for fairShare consecutive dequeues gets the
+// next slot, so a continuous high-priority stream cannot pin
+// low-priority work in the backlog forever. The queue is bounded: when
+// the backlog is at capacity a submission fails fast with ErrFull so the
+// caller can push back (HTTP 429) instead of letting latency grow
+// without bound. Draining stops intake (ErrDraining) while every job
+// already accepted runs to a terminal state — the SIGTERM story.
 //
-// Beyond the push pool, the queue is also a lease state machine — the
-// substrate of the internal/dispatch coordinator/worker layer. A
-// leasable job (SubmitLeasable) carries an opaque payload instead of a
-// run function and is pulled by external consumers via Lease/LeaseWait,
-// which grant exclusive, heartbeat-renewed ownership for the queue's
-// lease TTL. Complete and Fail resolve the lease; a lease whose
-// heartbeats lapse (ExpireLeases) puts the job back at the front of its
-// lane and counts an attempt, until the retry budget is spent and the
-// job fails with *RetryExhaustedError. The submitter observes the whole
-// lifecycle through a Ticket and an optional per-job event callback.
-// When a lease executor is installed (SetLeaseExecutor) the push pool
-// runs leasable jobs too, so a queue with no external consumers still
-// makes progress.
+// A job is granted either to an external consumer as a lease
+// (Lease/LeaseWait — the substrate of the internal/dispatch
+// coordinator/worker layer) or to the queue's own worker pool, which
+// runs it through the executor installed with SetLeaseExecutor. A lease
+// is exclusive, heartbeat-renewed ownership for the queue's lease TTL.
+// Complete and Fail resolve it; a lease whose heartbeats lapse
+// (ExpireLeases) puts the job back at the front of its lane and counts
+// an attempt, until the retry budget is spent and the job fails with
+// *RetryExhaustedError. The submitter observes the whole lifecycle
+// through a Ticket and an optional per-job event callback.
 //
-// The queue runs jobs, it does not time them out: each job carries the
-// context it was submitted with, so per-job deadlines (which keep
-// ticking while the job waits in the backlog — and while it is leased)
-// are enforced by the job's own Run function, by the solvers' context
-// plumbing, and, for leasable jobs, by the cull in Lease/ExpireLeases
-// that resolves a dead-context job without handing it to anyone.
+// The queue does not time jobs out: each job carries the context it was
+// submitted with, so per-job deadlines (which keep ticking while the job
+// waits in the backlog and while it is leased) are enforced by the
+// executor's own context plumbing and by the cull in the pool,
+// Lease and ExpireLeases, which resolves a dead-context job without
+// handing it to anyone.
 package jobq
 
 import (
@@ -104,7 +102,7 @@ var ErrDraining = errors.New("jobq: draining")
 // such an ID no longer owns the job and must not apply its result.
 var ErrUnknownLease = errors.New("jobq: unknown, expired, or already-resolved lease")
 
-// RetryExhaustedError reports that a leasable job burned its whole retry
+// RetryExhaustedError reports that a job burned its whole retry
 // budget on lapsed leases without ever being completed.
 type RetryExhaustedError struct {
 	Attempts int   // lease grants consumed
@@ -119,10 +117,9 @@ func (e *RetryExhaustedError) Unwrap() error { return e.Last }
 
 type job struct {
 	ctx    context.Context
-	cancel context.CancelFunc        // non-nil only for restored deadline contexts
-	run    func(ctx context.Context) // push job; nil for leasable jobs
+	cancel context.CancelFunc // non-nil only for restored deadline contexts
 
-	// Leasable-job state, guarded by the queue mutex.
+	// Guarded by the queue mutex.
 	id        uint64 // journal identity; 0 = never journaled
 	pri       Priority
 	payload   any
@@ -134,9 +131,7 @@ type job struct {
 	grantedAt time.Time
 }
 
-func (j *job) leasable() bool { return j.ticket != nil }
-
-// Ticket is the submitter's handle on a leasable job: Done closes when
+// Ticket is the submitter's handle on a job: Done closes when
 // the job reaches a terminal state, after which Outcome returns the
 // result a consumer completed it with, or the error that ended it.
 type Ticket struct {
@@ -179,7 +174,7 @@ func (t *Ticket) resolve(result any, err error, attempts int) {
 	t.mu.Unlock()
 }
 
-// Lease is exclusive, time-bounded ownership of one leasable job. The
+// Lease is exclusive, time-bounded ownership of one job. The
 // holder must Complete or Fail it before Deadline, or extend the lease
 // with Heartbeat; otherwise the job is requeued for someone else.
 type Lease struct {
@@ -193,12 +188,12 @@ type Lease struct {
 	Deadline time.Time // heartbeat deadline (lease expiry, not job deadline)
 }
 
-// LeaseEventKind enumerates the lifecycle transitions of a leasable job.
+// LeaseEventKind enumerates the lifecycle transitions of a job.
 type LeaseEventKind int
 
 const (
 	// LeaseGranted: the job was handed to a consumer (Local reports a
-	// push-pool run rather than an external lease).
+	// run on the queue's worker pool rather than an external lease).
 	LeaseGranted LeaseEventKind = iota
 	// LeaseRequeued: the lease lapsed (or failed retryably) and the job
 	// went back to the front of its lane. Err carries the reason.
@@ -216,13 +211,13 @@ const (
 )
 
 // LeaseEvent is one lifecycle transition, delivered to the callback
-// registered at SubmitLeasable. Events for one job are strictly ordered.
+// registered at submission. Events for one job are strictly ordered.
 // The callback runs with the queue's internal lock held: it must be fast
 // and MUST NOT call back into the Queue.
 type LeaseEvent struct {
 	Kind    LeaseEventKind
 	Attempt int
-	Local   bool // grant went to the local push pool, not an external lease
+	Local   bool // grant went to the worker pool's executor, not an external lease
 	Result  any  // LeaseCompleted only
 	Err     error
 }
@@ -230,11 +225,11 @@ type LeaseEvent struct {
 // Stats is a point-in-time snapshot of the queue.
 type Stats struct {
 	Queued      [numLanes]int // backlog per lane (High, Normal, Low)
-	Running     int           // push-pool executions in flight
+	Running     int           // worker-pool executions in flight
 	Leased      int           // active external leases
-	Outstanding int           // leasable jobs not yet terminal (queued, leased, or running)
+	Outstanding int           // jobs not yet terminal (queued, leased, or running)
 	Executed    int64
-	Rejected    int64 // Submit calls failed with ErrFull
+	Rejected    int64 // submissions refused with ErrFull
 	AvgJobDur   time.Duration
 }
 
@@ -249,7 +244,7 @@ type Queue struct {
 	lanes       [numLanes][]*job
 	starve      [numLanes]int
 	queued      int
-	running     int
+	running     map[*job]struct{} // jobs executing on the worker pool
 	draining    bool
 	executed    int64
 	rejected    int64
@@ -273,9 +268,10 @@ type Queue struct {
 	wg sync.WaitGroup
 }
 
-// New starts a queue with the given backlog capacity and worker count.
-// Capacity bounds jobs WAITING (running jobs don't count); capacity < 1
-// is raised to 1, workers < 1 to 1.
+// New starts a queue with the given backlog capacity and worker-pool
+// size. The pool runs jobs once a lease executor is installed
+// (SetLeaseExecutor). Capacity bounds jobs WAITING (running and leased
+// jobs don't count); capacity < 1 is raised to 1, workers < 1 to 1.
 func New(capacity, workers int) *Queue {
 	if capacity < 1 {
 		capacity = 1
@@ -295,6 +291,7 @@ func New(capacity, workers int) *Queue {
 		// rejected as stale instead of double-applying.
 		leaseEpoch: fmt.Sprintf("%x", time.Now().UnixNano()),
 		leases:     make(map[string]*job),
+		running:    make(map[*job]struct{}),
 	}
 	q.cond = sync.NewCond(&q.mu)
 	q.wg.Add(workers)
@@ -305,7 +302,7 @@ func New(capacity, workers int) *Queue {
 }
 
 // SetLeasePolicy sets the lease TTL (heartbeat deadline extension) and
-// the retry budget for leasable jobs. Defaults: 15s, 3 attempts.
+// the retry budget. Defaults: 15s, 3 attempts.
 func (q *Queue) SetLeasePolicy(ttl time.Duration, maxAttempts int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -317,10 +314,10 @@ func (q *Queue) SetLeasePolicy(ttl time.Duration, maxAttempts int) {
 	}
 }
 
-// SetLeaseExecutor lets the push pool run leasable jobs too: when no
-// external consumer leases a job first, a pool worker executes fn on its
-// payload and resolves the ticket with the outcome — so a queue with
-// zero external consumers still drains leasable work. A nil fn restores
+// SetLeaseExecutor lets the worker pool run jobs: a pool worker picks
+// the next job no external consumer has leased, executes fn on its
+// payload, and resolves the ticket with the outcome — so a queue with
+// zero external consumers still drains its work. A nil fn restores
 // pull-only behavior.
 func (q *Queue) SetLeaseExecutor(fn func(ctx context.Context, payload any) (any, error)) {
 	q.mu.Lock()
@@ -329,43 +326,44 @@ func (q *Queue) SetLeaseExecutor(fn func(ctx context.Context, payload any) (any,
 	q.mu.Unlock()
 }
 
-// Submit enqueues run in the lane for pri. The context travels with the
-// job and is handed to run when a worker picks it up — a deadline on it
-// keeps counting down while the job waits. Returns ErrFull when the
-// backlog is at capacity and ErrDraining after Drain has begun.
-func (q *Queue) Submit(ctx context.Context, pri Priority, run func(ctx context.Context)) error {
-	if pri < High || pri > Low {
-		return fmt.Errorf("jobq: invalid priority %d", int(pri))
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.draining {
-		return ErrDraining
-	}
-	if q.queued >= q.capacity {
-		q.rejected++
-		return ErrFull
-	}
-	q.lanes[pri] = append(q.lanes[pri], &job{ctx: ctx, run: run, pri: pri})
-	q.queued++
-	q.cond.Broadcast()
-	return nil
-}
-
-// SubmitLeasable enqueues a pull-mode job: payload travels to whichever
-// consumer leases it (or to the lease executor). onEvent, if non-nil,
-// observes every lifecycle transition; it runs under the queue lock and
-// must not call back into the Queue. The returned Ticket resolves when
-// the job is terminal. Capacity and drain rules match Submit.
+// SubmitLeasable enqueues a job in the lane for pri: payload travels to
+// whichever consumer leases it, or to the lease executor. The context
+// travels with the job — a deadline on it keeps counting down while the
+// job waits. onEvent, if non-nil, observes every lifecycle transition;
+// it runs under the queue lock and must not call back into the Queue.
+// The returned Ticket resolves when the job is terminal. Returns ErrFull
+// when the backlog is at capacity and ErrDraining after Drain has begun.
 //
 // With a journal attached (AttachJournal), the accept is ack-gated: the
 // Ticket is returned only after the accept record is durable, so a
 // submitter that has a Ticket holds a job that survives any crash. A
 // journal failure rejects the submission.
 func (q *Queue) SubmitLeasable(ctx context.Context, pri Priority, payload any, onEvent func(LeaseEvent)) (*Ticket, error) {
+	return q.submit(ctx, pri, payload, onEvent, true)
+}
+
+// SubmitSubLease enqueues a job that is a sub-unit of an already-accepted
+// parent job — internal/yield's Monte Carlo chunks. It behaves exactly
+// like SubmitLeasable except the job is never journaled: durability
+// belongs to the parent (which re-derives and resubmits its sub-units on
+// recovery), so journaling each chunk would only multiply WAL traffic
+// for records that are meaningless without the parent. The un-journaled
+// job keeps id 0, which the journal layer treats as "skip every record
+// for this job".
+//
+// Submissions during drain are refused with ErrDraining even though
+// accepted jobs may still be running: once the queue is draining, pool
+// workers exit as soon as the backlog empties, and a sub-lease enqueued
+// after that would hang forever. Callers fall back to inline execution —
+// which, by the chunk determinism contract, produces identical bytes.
+func (q *Queue) SubmitSubLease(ctx context.Context, pri Priority, payload any, onEvent func(LeaseEvent)) (*Ticket, error) {
+	return q.submit(ctx, pri, payload, onEvent, false)
+}
+
+// submit is the admission path of both submission kinds; journal says
+// whether the accept is recorded (and ack-gated) when a journal is
+// attached.
+func (q *Queue) submit(ctx context.Context, pri Priority, payload any, onEvent func(LeaseEvent), journal bool) (*Ticket, error) {
 	if pri < High || pri > Low {
 		return nil, fmt.Errorf("jobq: invalid priority %d", int(pri))
 	}
@@ -385,7 +383,7 @@ func (q *Queue) SubmitLeasable(ctx context.Context, pri Priority, payload any, o
 	t := &Ticket{done: make(chan struct{})}
 	j := &job{ctx: ctx, pri: pri, payload: payload, ticket: t, onEvent: onEvent}
 	var commit *wal.Commit
-	if q.jrnl != nil {
+	if journal && q.jrnl != nil {
 		enc, err := q.codec.Encode(payload)
 		if err != nil {
 			q.mu.Unlock()
@@ -428,54 +426,13 @@ func (q *Queue) SubmitLeasable(ctx context.Context, pri Priority, payload any, o
 	return t, nil
 }
 
-// SubmitSubLease enqueues a pull-mode job that is a sub-unit of an
-// already-accepted parent job — internal/yield's Monte Carlo chunks. It
-// behaves exactly like SubmitLeasable except the job is never journaled:
-// durability belongs to the parent (which re-derives and resubmits its
-// sub-units on recovery), so journaling each chunk would only multiply
-// WAL traffic for records that are meaningless without the parent. The
-// un-journaled job keeps id 0, which the journal layer treats as
-// "skip every record for this job".
-//
-// Submissions during drain are refused with ErrDraining even though
-// push-mode workers may still be running: once the queue is draining,
-// workers exit as soon as the backlog empties, and a sub-lease enqueued
-// after that would hang forever. Callers fall back to inline execution —
-// which, by the chunk determinism contract, produces identical bytes.
-func (q *Queue) SubmitSubLease(ctx context.Context, pri Priority, payload any, onEvent func(LeaseEvent)) (*Ticket, error) {
-	if pri < High || pri > Low {
-		return nil, fmt.Errorf("jobq: invalid priority %d", int(pri))
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	q.mu.Lock()
-	if q.draining {
-		q.mu.Unlock()
-		return nil, ErrDraining
-	}
-	if q.queued >= q.capacity {
-		q.rejected++
-		q.mu.Unlock()
-		return nil, ErrFull
-	}
-	t := &Ticket{done: make(chan struct{})}
-	j := &job{ctx: ctx, pri: pri, payload: payload, ticket: t, onEvent: onEvent}
-	q.lanes[pri] = append(q.lanes[pri], j)
-	q.queued++
-	q.outstanding++
-	q.cond.Broadcast()
-	q.mu.Unlock()
-	return t, nil
-}
-
 func (q *Queue) emitLocked(j *job, ev LeaseEvent) {
 	if j.onEvent != nil {
 		j.onEvent(ev)
 	}
 }
 
-// resolveLocked moves a leasable job to a terminal state: journals the
+// resolveLocked moves a job to a terminal state: journals the
 // transition, emits the event, resolves the ticket, and releases the
 // outstanding slot. Caller holds q.mu and has already removed the job
 // from lanes/leases. The returned commit (nil when not journaled) lets
@@ -511,14 +468,14 @@ func (q *Queue) resolveLocked(j *job, result any, err error, kind LeaseEventKind
 	return commit
 }
 
-// cullLocked resolves queued leasable jobs whose context already ended,
-// so an expired job never costs a lease grant or an executor run.
+// cullLocked resolves queued jobs whose context already ended, so an
+// expired job never costs a lease grant or an executor run.
 func (q *Queue) cullLocked() int {
 	n := 0
 	for lane := range q.lanes {
 		kept := q.lanes[lane][:0]
 		for _, j := range q.lanes[lane] {
-			if j.leasable() && j.ctx.Err() != nil {
+			if j.ctx.Err() != nil {
 				q.queued--
 				q.resolveLocked(j, nil, j.ctx.Err(), LeaseExpired)
 				n++
@@ -535,36 +492,19 @@ func (q *Queue) cullLocked() int {
 	return n
 }
 
-// pickLocked removes and returns the next job for a consumer that can
-// run push jobs (wantPush) and/or leasable jobs (wantLease): strict
-// priority with the fairShare starvation guard, FIFO within a lane.
-func (q *Queue) pickLocked(wantPush, wantLease bool) *job {
-	eligible := func(j *job) bool {
-		if j.leasable() {
-			return wantLease
-		}
-		return wantPush
-	}
-	var idx [numLanes]int
-	for lane := range q.lanes {
-		idx[lane] = -1
-		for i, j := range q.lanes[lane] {
-			if eligible(j) {
-				idx[lane] = i
-				break
-			}
-		}
-	}
+// pickLocked removes and returns the next job: strict priority with the
+// fairShare starvation guard, FIFO within a lane.
+func (q *Queue) pickLocked() *job {
 	chosen := -1
 	for lane := range q.lanes {
-		if idx[lane] >= 0 && q.starve[lane] >= fairShare {
+		if len(q.lanes[lane]) > 0 && q.starve[lane] >= fairShare {
 			chosen = lane
 			break
 		}
 	}
 	if chosen < 0 {
 		for lane := range q.lanes {
-			if idx[lane] >= 0 {
+			if len(q.lanes[lane]) > 0 {
 				chosen = lane
 				break
 			}
@@ -573,11 +513,11 @@ func (q *Queue) pickLocked(wantPush, wantLease bool) *job {
 	if chosen < 0 {
 		return nil
 	}
-	i := idx[chosen]
-	j := q.lanes[chosen][i]
-	copy(q.lanes[chosen][i:], q.lanes[chosen][i+1:])
-	q.lanes[chosen][len(q.lanes[chosen])-1] = nil
-	q.lanes[chosen] = q.lanes[chosen][:len(q.lanes[chosen])-1]
+	lane := q.lanes[chosen]
+	j := lane[0]
+	copy(lane, lane[1:])
+	lane[len(lane)-1] = nil
+	q.lanes[chosen] = lane[:len(lane)-1]
 	q.queued--
 	q.starve[chosen] = 0
 	for lane := range q.lanes {
@@ -588,7 +528,8 @@ func (q *Queue) pickLocked(wantPush, wantLease bool) *job {
 	return j
 }
 
-// worker executes jobs until drain empties the backlog.
+// worker runs jobs through the lease executor until drain empties the
+// backlog.
 func (q *Queue) worker() {
 	defer q.wg.Done()
 	for {
@@ -596,9 +537,10 @@ func (q *Queue) worker() {
 		var j *job
 		for {
 			q.cullLocked()
-			j = q.pickLocked(true, q.leaseExec != nil)
-			if j != nil {
-				break
+			if q.leaseExec != nil {
+				if j = q.pickLocked(); j != nil {
+					break
+				}
 			}
 			if q.draining && q.queued == 0 {
 				q.mu.Unlock()
@@ -606,51 +548,37 @@ func (q *Queue) worker() {
 			}
 			q.cond.Wait()
 		}
-		if j.leasable() {
-			j.attempts++
-			exec := q.leaseExec
-			q.running++
-			q.journalAsyncLocked(opGrant, j)
-			q.emitLocked(j, LeaseEvent{Kind: LeaseGranted, Attempt: j.attempts, Local: true})
-			q.mu.Unlock()
-
-			start := time.Now()
-			result, err := runLeaseExec(exec, j.ctx, j.payload)
-			dur := time.Since(start)
-
-			q.mu.Lock()
-			q.running--
-			q.executed++
-			q.observeLocked(dur)
-			if err != nil {
-				kind := LeaseFailed
-				if j.ctx.Err() != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-					kind = LeaseExpired
-				}
-				q.resolveLocked(j, nil, err, kind)
-			} else {
-				q.resolveLocked(j, result, nil, LeaseCompleted)
-			}
-			q.mu.Unlock()
-			continue
-		}
-		q.running++
+		j.attempts++
+		exec := q.leaseExec
+		q.running[j] = struct{}{}
+		q.journalAsyncLocked(opGrant, j)
+		q.emitLocked(j, LeaseEvent{Kind: LeaseGranted, Attempt: j.attempts, Local: true})
 		q.mu.Unlock()
 
 		start := time.Now()
-		j.run(j.ctx)
+		result, err := runLeaseExec(exec, j.ctx, j.payload)
 		dur := time.Since(start)
 
 		q.mu.Lock()
-		q.running--
+		delete(q.running, j)
 		q.executed++
 		q.observeLocked(dur)
+		switch {
+		case err == nil:
+			q.resolveLocked(j, result, nil, LeaseCompleted)
+		case j.ctx.Err() != nil:
+			// As in Fail: a failure after the job's own context ended is
+			// an expiry, whatever the executor reported.
+			q.resolveLocked(j, nil, j.ctx.Err(), LeaseExpired)
+		default:
+			q.resolveLocked(j, nil, err, LeaseFailed)
+		}
 		q.mu.Unlock()
 	}
 }
 
 // runLeaseExec runs the lease executor with the panic/expiry guards the
-// push pool needs: a dead job context short-circuits without invoking
+// worker pool needs: a dead job context short-circuits without invoking
 // the executor, and an executor panic becomes a job failure rather than
 // a dead pool worker.
 func runLeaseExec(exec func(ctx context.Context, payload any) (any, error), ctx context.Context, payload any) (result any, err error) {
@@ -679,7 +607,7 @@ func (q *Queue) observeLocked(dur time.Duration) {
 	}
 }
 
-// Lease grants exclusive ownership of the next leasable job, if one is
+// Lease grants exclusive ownership of the next queued job, if one is
 // ready. The returned lease must be completed, failed, or heartbeat-
 // renewed before its Deadline, or the job is requeued.
 func (q *Queue) Lease() (*Lease, bool) {
@@ -690,7 +618,7 @@ func (q *Queue) Lease() (*Lease, bool) {
 
 func (q *Queue) leaseLocked() (*Lease, bool) {
 	q.cullLocked()
-	j := q.pickLocked(false, true)
+	j := q.pickLocked()
 	if j == nil {
 		return nil, false
 	}
@@ -716,8 +644,8 @@ func (q *Queue) leaseLocked() (*Lease, bool) {
 	}, true
 }
 
-// LeaseWait blocks until a leasable job is available, ctx ends, or the
-// queue is draining with no leasable work left (ErrDraining) — the
+// LeaseWait blocks until a job is available, ctx ends, or the queue is
+// draining with no work left (ErrDraining) — the
 // long-poll primitive behind the dispatch coordinator's lease endpoint.
 // While draining it still grants leases: accepted work must finish.
 func (q *Queue) LeaseWait(ctx context.Context) (*Lease, error) {
@@ -857,10 +785,10 @@ func (q *Queue) ExpireLeases() int {
 	return n
 }
 
-// Drain stops intake and waits until every accepted job — push jobs
-// queued or running, and leasable jobs queued, leased, or retrying — has
-// reached a terminal state, or until ctx expires. After Drain begins,
-// Submit returns ErrDraining while Lease keeps serving: accepted work
+// Drain stops intake and waits until every accepted job — queued,
+// running on the pool, leased, or retrying — has reached a terminal
+// state, or until ctx expires. After Drain begins, submissions get
+// ErrDraining while the pool and Lease keep serving: accepted work
 // must finish wherever it runs. Drain is idempotent; concurrent calls
 // all wait for the same completion.
 func (q *Queue) Drain(ctx context.Context) error {
@@ -944,7 +872,7 @@ func (q *Queue) Snapshot() Stats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	st := Stats{
-		Running:     q.running,
+		Running:     len(q.running),
 		Leased:      len(q.leases),
 		Outstanding: q.outstanding,
 		Executed:    q.executed,

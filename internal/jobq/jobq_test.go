@@ -8,8 +8,26 @@ import (
 	"time"
 )
 
+// newFuncQueue starts a queue whose worker pool runs each job's payload
+// as a function of the job context: submitted work executed by the
+// pool, with no external consumer.
+func newFuncQueue(capacity, workers int) *Queue {
+	q := New(capacity, workers)
+	q.SetLeaseExecutor(func(ctx context.Context, payload any) (any, error) {
+		payload.(func(context.Context))(ctx)
+		return nil, nil
+	})
+	return q
+}
+
+// submitFn enqueues fn as a job for a newFuncQueue pool.
+func submitFn(q *Queue, ctx context.Context, pri Priority, fn func(context.Context)) error {
+	_, err := q.SubmitLeasable(ctx, pri, fn, nil)
+	return err
+}
+
 func TestPriorityOrdering(t *testing.T) {
-	q := New(16, 1)
+	q := newFuncQueue(16, 1)
 	release := make(chan struct{})
 	started := make(chan struct{})
 	var mu sync.Mutex
@@ -17,7 +35,7 @@ func TestPriorityOrdering(t *testing.T) {
 
 	// Occupy the single worker so the next submissions pile up in the
 	// backlog, then release and observe drain order.
-	if err := q.Submit(nil, Normal, func(context.Context) {
+	if err := submitFn(q, nil, Normal, func(context.Context) {
 		close(started)
 		<-release
 	}); err != nil {
@@ -38,7 +56,7 @@ func TestPriorityOrdering(t *testing.T) {
 	}{
 		{Low, "low1"}, {Low, "low2"}, {Normal, "norm1"}, {High, "high1"}, {Normal, "norm2"}, {High, "high2"},
 	} {
-		if err := q.Submit(nil, s.pri, record(s.name)); err != nil {
+		if err := submitFn(q, nil, s.pri, record(s.name)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -58,25 +76,25 @@ func TestPriorityOrdering(t *testing.T) {
 }
 
 func TestCapacityBackpressure(t *testing.T) {
-	q := New(2, 1)
+	q := newFuncQueue(2, 1)
 	release := make(chan struct{})
 	started := make(chan struct{})
-	if err := q.Submit(nil, Normal, func(context.Context) {
+	if err := submitFn(q, nil, Normal, func(context.Context) {
 		close(started)
 		<-release
 	}); err != nil {
 		t.Fatal(err)
 	}
 	<-started // worker busy; backlog empty
-	if err := q.Submit(nil, Normal, func(context.Context) {}); err != nil {
+	if err := submitFn(q, nil, Normal, func(context.Context) {}); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Submit(nil, High, func(context.Context) {}); err != nil {
+	if err := submitFn(q, nil, High, func(context.Context) {}); err != nil {
 		t.Fatal(err)
 	}
 	// Backlog now at capacity 2: next submission must fail fast,
 	// whatever its priority.
-	if err := q.Submit(nil, High, func(context.Context) {}); !errors.Is(err, ErrFull) {
+	if err := submitFn(q, nil, High, func(context.Context) {}); !errors.Is(err, ErrFull) {
 		t.Fatalf("got %v, want ErrFull", err)
 	}
 	if ra := q.RetryAfter(); ra < time.Second {
@@ -95,13 +113,13 @@ func TestCapacityBackpressure(t *testing.T) {
 }
 
 func TestDrainCompletesBacklogAndRejectsNew(t *testing.T) {
-	q := New(64, 2)
+	q := newFuncQueue(64, 2)
 	var mu sync.Mutex
 	ran := 0
 	slow := make(chan struct{})
 	started := make(chan struct{}, 2)
 	for i := 0; i < 2; i++ {
-		if err := q.Submit(nil, Normal, func(context.Context) {
+		if err := submitFn(q, nil, Normal, func(context.Context) {
 			started <- struct{}{}
 			<-slow
 			mu.Lock()
@@ -115,7 +133,7 @@ func TestDrainCompletesBacklogAndRejectsNew(t *testing.T) {
 	<-started
 	// Both workers are mid-job; queue more work behind them.
 	for i := 0; i < 5; i++ {
-		if err := q.Submit(nil, Low, func(context.Context) {
+		if err := submitFn(q, nil, Low, func(context.Context) {
 			mu.Lock()
 			ran++
 			mu.Unlock()
@@ -128,7 +146,7 @@ func TestDrainCompletesBacklogAndRejectsNew(t *testing.T) {
 	// Intake must close as soon as drain begins, even while jobs run.
 	deadline := time.After(2 * time.Second)
 	for {
-		err := q.Submit(nil, Normal, func(context.Context) {})
+		err := submitFn(q, nil, Normal, func(context.Context) {})
 		if errors.Is(err, ErrDraining) {
 			break
 		}
@@ -154,10 +172,10 @@ func TestDrainCompletesBacklogAndRejectsNew(t *testing.T) {
 }
 
 func TestDrainHonorsContext(t *testing.T) {
-	q := New(4, 1)
+	q := newFuncQueue(4, 1)
 	hung := make(chan struct{})
 	started := make(chan struct{})
-	if err := q.Submit(nil, Normal, func(context.Context) {
+	if err := submitFn(q, nil, Normal, func(context.Context) {
 		close(started)
 		<-hung
 	}); err != nil {
@@ -176,11 +194,11 @@ func TestDrainHonorsContext(t *testing.T) {
 }
 
 func TestJobContextTravels(t *testing.T) {
-	q := New(4, 1)
+	q := newFuncQueue(4, 1)
 	type key struct{}
 	ctx := context.WithValue(context.Background(), key{}, "v")
 	got := make(chan any, 1)
-	if err := q.Submit(ctx, Normal, func(jctx context.Context) {
+	if err := submitFn(q, ctx, Normal, func(jctx context.Context) {
 		got <- jctx.Value(key{})
 	}); err != nil {
 		t.Fatal(err)
@@ -194,8 +212,8 @@ func TestJobContextTravels(t *testing.T) {
 }
 
 func TestInvalidPriority(t *testing.T) {
-	q := New(1, 1)
-	if err := q.Submit(nil, Priority(9), func(context.Context) {}); err == nil {
+	q := newFuncQueue(1, 1)
+	if err := submitFn(q, nil, Priority(9), func(context.Context) {}); err == nil {
 		t.Fatal("invalid priority accepted")
 	}
 	if _, err := ParsePriority("urgent"); err == nil {
@@ -212,11 +230,11 @@ func TestInvalidPriority(t *testing.T) {
 	}
 }
 
-// TestParallelSubmitters hammers Submit from many goroutines under -race:
-// every accepted job must execute exactly once and the counters must add
-// up.
+// TestParallelSubmitters hammers SubmitLeasable from many goroutines
+// under -race: every accepted job must execute exactly once and the
+// counters must add up.
 func TestParallelSubmitters(t *testing.T) {
-	q := New(32, 4)
+	q := newFuncQueue(32, 4)
 	var mu sync.Mutex
 	acceptedN, rejectedN, ranN := 0, 0, 0
 	var wg sync.WaitGroup
@@ -225,7 +243,7 @@ func TestParallelSubmitters(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				err := q.Submit(nil, Priority(i%3), func(context.Context) {
+				err := submitFn(q, nil, Priority(i%3), func(context.Context) {
 					mu.Lock()
 					ranN++
 					mu.Unlock()

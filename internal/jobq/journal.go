@@ -1,4 +1,4 @@
-// Journal integration: every lifecycle transition of a leasable job is
+// Journal integration: every lifecycle transition of a submitted job is
 // written to a write-ahead journal (internal/wal) before the transition
 // is acknowledged to the outside, so a crashed coordinator can rebuild
 // its backlog on restart and requeue the jobs it was holding.
@@ -18,8 +18,9 @@
 //     crash time and requeues it without burning the attempt.
 //
 // Records are JSON payloads inside the WAL's CRC-framed records. The
-// journal only covers leasable jobs: push jobs carry closures, which
-// cannot be replayed, and their submitters hold no ticket to honor.
+// journal covers jobs admitted through SubmitLeasable; sub-leases
+// (SubmitSubLease) are never journaled, because their parent job
+// re-derives them on recovery.
 package jobq
 
 import (
@@ -55,7 +56,7 @@ type journalRec struct {
 }
 
 // snapshot is the JSON payload of a Checkpoint record: the full set of
-// non-terminal leasable jobs at checkpoint time, queued jobs in queue
+// non-terminal journaled jobs at checkpoint time, queued jobs in queue
 // order, then jobs leased at that moment.
 type snapshot struct {
 	LastID uint64    `json:"last_id"` // highest job ID ever assigned
@@ -79,7 +80,7 @@ type PayloadCodec struct {
 	Decode func(data []byte) (any, error)
 }
 
-// AttachJournal starts journaling every leasable-job transition to w.
+// AttachJournal starts journaling every job transition to w.
 // It must be called before the queue starts accepting work: jobs
 // submitted earlier have no accept record, and their later transitions
 // are ignored at replay. The queue does not close w; the owner does,
@@ -99,9 +100,9 @@ func (q *Queue) JournalErrs() int64 { return q.journalErrs.Load() }
 // appendJournalLocked buffers one record for j into the journal, in the
 // same critical section as the in-memory transition so journal order
 // equals state order. Returns a nil Commit when no journal is attached
-// or j is not journaled (push job, pre-attach job). Caller holds q.mu.
+// or j is not journaled (sub-lease, pre-attach job). Caller holds q.mu.
 func (q *Queue) appendJournalLocked(op string, j *job, payload json.RawMessage, deadline int64) (*wal.Commit, error) {
-	if q.jrnl == nil || !j.leasable() || j.id == 0 {
+	if q.jrnl == nil || j.id == 0 {
 		return nil, nil
 	}
 	rec := journalRec{Op: op, ID: j.id, Attempt: j.attempts}
@@ -136,7 +137,7 @@ func (q *Queue) waitJournal(c *wal.Commit) {
 	}
 }
 
-// CheckpointJournal writes a snapshot of every non-terminal leasable job
+// CheckpointJournal writes a snapshot of every non-terminal journaled job
 // and truncates the journal's history. The queue's lock serializes the
 // snapshot against every append, which is exactly the external ordering
 // wal.Checkpoint requires.
@@ -164,16 +165,28 @@ func (q *Queue) CheckpointJournal() error {
 	}
 	for lane := range q.lanes {
 		for _, j := range q.lanes[lane] {
-			if j.leasable() && j.id != 0 {
+			if j.id != 0 {
 				if err := add(j, false); err != nil {
 					return err
 				}
 			}
 		}
 	}
+	// Jobs leased out or running on the pool are snapshotted as leased:
+	// replay puts them back at the front of their lane with the in-flight
+	// attempt un-burned.
 	for _, j := range q.leases {
-		if err := add(j, true); err != nil {
-			return err
+		if j.id != 0 {
+			if err := add(j, true); err != nil {
+				return err
+			}
+		}
+	}
+	for j := range q.running {
+		if j.id != 0 {
+			if err := add(j, true); err != nil {
+				return err
+			}
 		}
 	}
 	b, err := json.Marshal(snap)

@@ -202,6 +202,55 @@ func TestJournalCheckpointCompactsAndPreservesState(t *testing.T) {
 	}
 }
 
+// TestJournalCheckpointKeepsPoolRunningJobs pins the checkpoint against
+// the two job states that sit in neither a lane nor the journal's
+// history: a job running on the worker pool must survive compaction as
+// leased-at-crash, and a leased sub-lease must never enter the snapshot.
+func TestJournalCheckpointKeepsPoolRunningJobs(t *testing.T) {
+	dir := t.TempDir()
+	w := openJournal(t, dir)
+	q := New(16, 1)
+	q.AttachJournal(w, stringCodec)
+	started, release := make(chan struct{}), make(chan struct{})
+	q.SetLeaseExecutor(func(ctx context.Context, payload any) (any, error) {
+		close(started)
+		<-release
+		return payload, nil
+	})
+	defer q.Drain(context.Background())
+	defer close(release)
+
+	if _, err := q.SubmitLeasable(context.Background(), Normal, "running", nil); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	if _, err := q.SubmitSubLease(context.Background(), Normal, "chunk", nil); err != nil {
+		t.Fatal(err)
+	}
+	l, ok := q.Lease()
+	if !ok {
+		t.Fatal("sub-lease not leasable")
+	}
+	if err := q.CheckpointJournal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Complete(l.ID, "ok"); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	w.Abort()
+
+	jobs, _ := replayDir(t, dir)
+	if len(jobs) != 1 || jobs[0].Payload != "running" {
+		t.Fatalf("recovered %+v, want only the pool-running job", jobs)
+	}
+	if !jobs[0].WasLeased || jobs[0].Attempts != 0 {
+		t.Fatalf("pool-running job recovered as %+v, want leased with the attempt un-burned", jobs[0])
+	}
+}
+
 func TestJournalSubmitRejectedWhenNotDurable(t *testing.T) {
 	defer faultinject.Reset()
 	dir := t.TempDir()

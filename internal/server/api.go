@@ -106,18 +106,16 @@ func badRequest(format string, args ...any) *apiError {
 }
 
 // optimizeRequest is a fully validated, ready-to-queue optimization job:
-// the reconstructed design, the effective config, queueing parameters,
-// and the canonical cache key.
+// the effective config, queueing parameters, and the canonical cache key.
 type optimizeRequest struct {
-	design  *wavemin.Design
 	cfg     wavemin.Config
 	pri     jobq.Priority
 	timeout time.Duration
 	noCache bool
 	trace   bool
 	key     string
-	// tree and modes retain the canonical problem inputs so a dispatch
-	// coordinator can ship the job to a worker that re-derives the design
+	// tree and modes retain the canonical problem inputs: the job's
+	// JobSpec carries them to the executor, which re-derives the design
 	// bit-for-bit (internal/dispatch.JobSpec).
 	tree  json.RawMessage
 	modes []wavemin.Mode
@@ -283,7 +281,6 @@ func decodeOptimizeRequest(body []byte, opts Options) (*optimizeRequest, *apiErr
 		key = p.Key(key)
 	}
 	return &optimizeRequest{
-		design:        design,
 		cfg:           cfg,
 		pri:           pri,
 		timeout:       timeout,

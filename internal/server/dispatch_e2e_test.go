@@ -1,15 +1,16 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"wavemin"
 	"wavemin/internal/dispatch"
 )
 
@@ -134,6 +135,11 @@ func TestDispatchServerEndToEnd(t *testing.T) {
 	if string(rres1.Result) != string(rres2.Result) {
 		t.Error("cache replay bytes differ from the dispatched result")
 	}
+	// One granted attempt, on a remote worker, is one solver run; the
+	// cache hit adds none.
+	if runs := srv.MetricsSnapshot().SolverRuns; runs != 1 {
+		t.Errorf("SolverRuns = %d, want 1", runs)
+	}
 
 	// Drain: accepted work is done, so drain completes promptly and the
 	// lease endpoint starts reporting draining, releasing worker loops.
@@ -144,45 +150,54 @@ func TestDispatchServerEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDispatchLocalExecMatchesInProcessPath pins the hybrid default
-// against PR 4 semantics: a coordinator with LocalExec and zero remote
-// workers must answer exactly like the plain in-process server — same
-// result fields, modulo the Runtime wall clock the dispatch path zeroes.
-func TestDispatchLocalExecMatchesInProcessPath(t *testing.T) {
-	body := marshalReq(t, map[string]any{
-		"tree":   smallTreeJSON(t, 12),
-		"config": fastConfig(),
-	})
-
-	runOne := func(opts Options) map[string]any {
-		h := newHarness(t, opts)
-		code, resp := h.post(body)
-		if code != http.StatusAccepted {
-			t.Fatalf("submit: status %d: %v", code, resp)
-		}
-		id := resp["jobId"].(string)
-		if v := h.waitJob(id, 30*time.Second); v.Status != StatusDone {
-			t.Fatalf("job status = %s (error %q)", v.Status, v.Error)
-		}
-		_, rb := h.get("/v1/jobs/" + id + "/result")
-		var rres struct {
-			Result map[string]any `json:"result"`
-		}
-		if err := json.Unmarshal(rb, &rres); err != nil {
-			t.Fatal(err)
-		}
-		return rres.Result
+// TestDispatchPathsMatchDirectOptimize pins the single job path against
+// the solver itself: an in-process node, a LocalExec coordinator, and a
+// coordinator whose job runs on a remote worker must all serve exactly
+// the bytes of Design.Optimize called directly and marshaled canonically
+// (Stats nil, Runtime 0).
+func TestDispatchPathsMatchDirectOptimize(t *testing.T) {
+	tree := smallTreeJSON(t, 12)
+	d, err := wavemin.LoadTree(bytes.NewReader(tree))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := d.Optimize(context.Background(), wavemin.Config{Samples: 16, MaxIntervals: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Stats, res.Runtime = nil, 0
+	want, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	plain := runOne(Options{Workers: 1, DefaultTimeout: time.Minute, MaxTimeout: time.Minute})
-	hybrid := runOne(Options{Workers: 1, DefaultTimeout: time.Minute, MaxTimeout: time.Minute,
-		Dispatch: &dispatch.Options{LocalExec: true}})
-
-	// Runtime is the one legitimate difference: wall clock on the local
-	// path, canonically zero on the dispatch path.
-	delete(plain, "Runtime")
-	delete(hybrid, "Runtime")
-	if !reflect.DeepEqual(plain, hybrid) {
-		t.Errorf("hybrid result diverged from the in-process path:\nplain:  %v\nhybrid: %v", plain, hybrid)
+	body := marshalReq(t, map[string]any{"tree": tree, "config": fastConfig()})
+	base := Options{Workers: 1, DefaultTimeout: time.Minute, MaxTimeout: time.Minute}
+	for _, tc := range []struct {
+		name     string
+		dispatch *dispatch.Options
+		worker   bool
+	}{
+		{"InProcess", nil, false},
+		{"LocalExecCoordinator", &dispatch.Options{LocalExec: true}, false},
+		{"RemoteWorker", &dispatch.Options{LocalExec: false}, true},
+	} {
+		opts := base
+		opts.Dispatch = tc.dispatch
+		h := newHarness(t, opts)
+		if tc.worker {
+			defer startWorker(t, h.ts.URL, "w-"+tc.name)()
+		}
+		code, resp := h.post(body)
+		if code != http.StatusAccepted {
+			t.Fatalf("%s: submit: status %d: %v", tc.name, code, resp)
+		}
+		id := jobID(t, resp)
+		if v := h.waitJob(id, 30*time.Second); v.Status != StatusDone {
+			t.Fatalf("%s: job status = %s (error %q)", tc.name, v.Status, v.Error)
+		}
+		if _, got := h.resultBody(id); !bytes.Equal(got, want) {
+			t.Errorf("%s: served bytes differ from a direct Optimize:\n got: %s\nwant: %s", tc.name, got, want)
+		}
 	}
 }

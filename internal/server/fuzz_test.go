@@ -97,7 +97,7 @@ func FuzzOptimizeRequest(f *testing.F) {
 		}
 		// Accepted requests must be complete: a queueable job with a
 		// cache identity and an enforceable deadline.
-		if req.design == nil || req.key == "" || req.timeout <= 0 || req.timeout > opts.MaxTimeout {
+		if len(req.tree) == 0 || req.key == "" || req.timeout <= 0 || req.timeout > opts.MaxTimeout {
 			t.Fatalf("accepted request is incomplete: %+v", req)
 		}
 		if err := req.cfg.Validate(); err != nil {

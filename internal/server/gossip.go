@@ -72,9 +72,7 @@ func (s *Server) adoptMap(cand *shard.Map, source string) error {
 	sh.mapGauge.Set(int64(next.Version))
 	sh.bump(&sh.mapsAdopted, "maps_adopted")
 	sh.vars.Add("maps_adopted_"+source, 1)
-	if s.coord != nil {
-		s.coord.SetShardLabel(shardLabel(sh.id, next.Version))
-	}
+	s.coord.SetShardLabel(shardLabel(sh.id, next.Version))
 	return nil
 }
 

@@ -1,7 +1,9 @@
 // Package server is the wavemind batch optimization service: an HTTP
-// JSON API over the wavemin facade, backed by a bounded prioritized job
-// queue (internal/jobq) and a content-addressed LRU result cache
-// (internal/rescache).
+// JSON API over the wavemin facade, backed by a bounded prioritized
+// lease queue (internal/jobq) and a content-addressed LRU result cache
+// (internal/rescache). Every job is a serializable dispatch.JobSpec on
+// that queue, executed by dispatch.ExecuteSpec on this process's worker
+// pool or on a remote `wavemind -role=worker`.
 //
 // Endpoints:
 //
@@ -66,10 +68,11 @@ type Options struct {
 	MaxSolverWorkers int           // cap on per-job solver parallelism (0 = uncapped)
 	Debug            bool          // mount /debug/vars and /debug/pprof
 	// Dispatch, when non-nil, runs the server as a dispatch coordinator:
-	// jobs are enqueued as leasable work that `wavemind -role=worker`
-	// processes pull over /v1/dispatch/*, and (with Dispatch.LocalExec)
-	// the local pool still executes whatever no worker claims. Nil — the
-	// default — keeps the PR 4 in-process path exactly as it was.
+	// it mounts the /v1/dispatch/* pull protocol that `wavemind
+	// -role=worker` processes lease jobs over, and sets the lease knobs —
+	// TTL, retry budget, and whether the local pool still executes
+	// whatever no worker claims (Dispatch.LocalExec). Nil — the default —
+	// leaves the protocol unmounted and every job runs on the local pool.
 	Dispatch *dispatch.Options
 
 	// DataDir, when set, makes the server crash-safe: accepted jobs are
@@ -77,9 +80,7 @@ type Options struct {
 	// acknowledged, results are persisted to the content-addressed store
 	// under DataDir/store before completions are acknowledged, and a
 	// restart replays both — the backlog is re-enqueued (attempts, lane
-	// order, and deadlines preserved) and cached results survive. DataDir
-	// implies the dispatch path (jobs must be serializable to replay);
-	// when Dispatch is nil it defaults to local-only execution.
+	// order, and deadlines preserved) and cached results survive.
 	DataDir string
 	// Fsync is the journal durability policy: "batch" (group-commit
 	// fsync, the default), "always" (fsync per record), or "none" (OS
@@ -246,7 +247,7 @@ type jobView struct {
 // "wavemin" expvar map as server_* entries).
 type Metrics struct {
 	Submitted        int64
-	SolverRuns       int64 // jobs that actually invoked Design.Optimize
+	SolverRuns       int64 // solver attempts: lease grants of optimization jobs (local or remote) plus yield candidate solves
 	CacheHits        int64
 	CacheMisses      int64
 	Completed        int64
@@ -272,7 +273,7 @@ type Metrics struct {
 	// Yield-mode counters; zero until a yield request arrives.
 	YieldJobs         int64 // yield runs started
 	YieldChunks       int64 // sample chunks dispatched as sub-leases
-	YieldChunksInline int64 // chunks evaluated inline (no coordinator, or drain/full fallback)
+	YieldChunksInline int64 // chunks evaluated inline (queue full or draining)
 	YieldSamplesSaved int64 // budgeted samples early stopping never spent
 	YieldEarlyStops   int64 // yield runs that stopped before the full budget
 
@@ -327,8 +328,8 @@ type Server struct {
 	mux     *http.ServeMux
 	handler http.Handler // mux, wrapped (when sharded) in the version-piggyback middleware
 
-	coord      *dispatch.Coordinator // non-nil iff Options.Dispatch was set
-	dispatchWG sync.WaitGroup        // finishDispatched goroutines in flight
+	coord      *dispatch.Coordinator // local executor and lease sweeper; protocol mounted iff Options.Dispatch was set
+	dispatchWG sync.WaitGroup        // finishDispatched and yield-driver goroutines in flight
 
 	// yieldSem bounds concurrent yield drivers (Options.YieldMaxConcurrent):
 	// each driver fans out chunk sub-leases, and the semaphore is what
@@ -374,12 +375,6 @@ type Server struct {
 // ready server has always finished recovery.
 func New(opts Options) (*Server, error) {
 	opts = opts.withDefaults()
-	if opts.DataDir != "" && opts.Dispatch == nil {
-		// Durability requires replayable jobs: the dispatch path carries
-		// serializable JobSpecs where the in-process path carries
-		// closures. LocalExec keeps execution in this process.
-		opts.Dispatch = &dispatch.Options{LocalExec: true}
-	}
 	s := &Server{
 		opts:     opts,
 		q:        jobq.New(opts.QueueCapacity, opts.Workers),
@@ -395,17 +390,17 @@ func New(opts Options) (*Server, error) {
 	} else if len(opts.Peers) != 0 {
 		return nil, fmt.Errorf("server: Peers set without ShardMap (sharding needs ShardMap, ShardID, and Peers together)")
 	}
-	var dopts dispatch.Options
+	dopts := dispatch.Options{LocalExec: true}
 	if opts.Dispatch != nil {
 		dopts = *opts.Dispatch
-		if dopts.SolverWorkers == 0 {
-			dopts.SolverWorkers = opts.MaxSolverWorkers
-		}
-		if s.sh != nil && dopts.ShardLabel == "" {
-			// The label names the map epoch too, and follows every
-			// adoption (Coordinator.SetShardLabel in adoptMap).
-			dopts.ShardLabel = shardLabel(s.sh.id, s.sh.Map().Version)
-		}
+	}
+	if dopts.SolverWorkers == 0 {
+		dopts.SolverWorkers = opts.MaxSolverWorkers
+	}
+	if s.sh != nil && dopts.ShardLabel == "" {
+		// The label names the map epoch too, and follows every
+		// adoption (Coordinator.SetShardLabel in adoptMap).
+		dopts.ShardLabel = shardLabel(s.sh.id, s.sh.Map().Version)
 	}
 
 	var backing rescache.Backing
@@ -489,12 +484,10 @@ func New(opts Options) (*Server, error) {
 		}
 	}
 
-	if opts.Dispatch != nil {
-		s.coord = dispatch.NewCoordinator(s.q, dopts)
-	}
+	s.coord = dispatch.NewCoordinator(s.q, dopts)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/optimize", s.handleOptimize)
-	if s.coord != nil {
+	if opts.Dispatch != nil {
 		s.coord.Register(mux)
 	}
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
@@ -584,39 +577,17 @@ func (s *Server) restoreJobs(recs []jobq.RecoveredJob, lastID uint64) error {
 		if !ok {
 			return fmt.Errorf("server: recovered job %d: unexpected payload %T", rj.ID, rj.Payload)
 		}
-		j := s.reattachJob(spec.JobID, rj.Pri)
-		sl := &slot{j: j, spec: spec}
+		sl := &slot{j: s.reattachJob(spec.JobID, rj.Pri), spec: spec}
 		if spec.Trace {
 			// The pre-crash trace died with the process; recovered jobs
 			// get a fresh one covering the post-recovery attempts.
-			mem := &obs.Memory{}
-			sl.tr = obs.New(obs.Options{})
-			sl.tr.AttachSink(mem)
-			sl.tr.AttachSink(obs.ExpvarSink{})
-			j.mu.Lock()
-			j.trace = mem
-			j.mu.Unlock()
+			sl.tr = sl.j.startTrace()
 		}
 		slots[rj.ID] = sl
 	}
 	tickets := s.q.Restore(recs, lastID, func(rj jobq.RecoveredJob) func(jobq.LeaseEvent) {
 		sl := slots[rj.ID]
-		traceFn := dispatch.TraceObserver(sl.tr)
-		j := sl.j
-		return func(ev jobq.LeaseEvent) {
-			// Runs under the queue lock: job-record field writes only.
-			if traceFn != nil {
-				traceFn(ev)
-			}
-			if ev.Kind == jobq.LeaseGranted {
-				j.mu.Lock()
-				if j.status == StatusQueued {
-					j.status = StatusRunning
-					j.started = time.Now()
-				}
-				j.mu.Unlock()
-			}
-		}
+		return s.observeJob(sl.j, sl.tr)
 	})
 	for i, rj := range recs {
 		sl := slots[rj.ID]
@@ -701,9 +672,7 @@ func (s *Server) stopCheckpoints() {
 func (s *Server) Crash() {
 	s.stopGossip()
 	s.stopCheckpoints()
-	if s.coord != nil {
-		s.coord.Close()
-	}
+	s.coord.Close()
 	if s.wal != nil {
 		s.wal.Abort()
 	}
@@ -731,9 +700,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		// turn resolved tickets into job records and cache entries.
 		s.dispatchWG.Wait()
 	}
-	if s.coord != nil {
-		s.coord.Close()
-	}
+	s.coord.Close()
 	if err != nil {
 		// Backlog unfinished: leave the journal live so the state on disk
 		// stays crash-consistent and the next start recovers it.
@@ -761,8 +728,9 @@ func (s *Server) Drain(ctx context.Context) error {
 	return err
 }
 
-// Coordinator returns the dispatch coordinator, or nil when the server
-// runs pure in-process (Options.Dispatch unset).
+// Coordinator returns the dispatch coordinator that runs the server's
+// jobs. Its /v1/dispatch/* protocol is mounted only when Options.Dispatch
+// is set.
 func (s *Server) Coordinator() *dispatch.Coordinator { return s.coord }
 
 // MetricsSnapshot returns the server's counters.
@@ -841,21 +809,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 
 	if !req.noCache {
 		if blob, ok := s.cache.Get(req.key); ok {
-			bump(&s.met.cacheHits, "server_cache_hits")
-			j := s.addJob(req, true)
-			var res struct {
-				AlgorithmUsed string
-			}
-			_ = json.Unmarshal(blob, &res) // own marshaling; best-effort decoration
-			j.mu.Lock()
-			j.status = StatusDone
-			j.finished = time.Now()
-			j.resultJSON = blob
-			j.algorithmUsed = res.AlgorithmUsed
-			j.mu.Unlock()
-			writeJSON(w, http.StatusOK, map[string]any{
-				"jobId": j.id, "status": StatusDone, "cacheHit": true,
-			})
+			s.serveCacheHit(w, req, blob)
 			return
 		}
 		bump(&s.met.cacheMisses, "server_cache_misses")
@@ -865,13 +819,10 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	deadline := time.Now().Add(req.timeout)
 	jctx, cancel := context.WithDeadline(context.Background(), deadline)
 	j.cancel = cancel
-	switch {
-	case req.yield != nil:
+	if req.yield != nil {
 		err = s.submitYield(jctx, j, req)
-	case s.coord != nil:
+	} else {
 		err = s.submitDispatched(jctx, j, req, deadline)
-	default:
-		err = s.q.Submit(jctx, req.pri, func(ctx context.Context) { s.runJob(ctx, j, req) })
 	}
 	if err != nil {
 		cancel()
@@ -881,6 +832,22 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusAccepted, map[string]any{
 		"jobId": j.id, "status": StatusQueued, "cacheHit": false,
+	})
+}
+
+// serveCacheHit answers a submission from cached result bytes — this
+// node's cache or a replica's copy — with a cache-hit job record minted
+// already finished.
+func (s *Server) serveCacheHit(w http.ResponseWriter, req *optimizeRequest, blob []byte) {
+	bump(&s.met.cacheHits, "server_cache_hits")
+	var res struct {
+		AlgorithmUsed string
+	}
+	_ = json.Unmarshal(blob, &res) // own marshaling; best-effort decoration
+	j := s.addJob(req, true)
+	j.land(StatusDone, blob, res.AlgorithmUsed, false, "")
+	writeJSON(w, http.StatusOK, map[string]any{
+		"jobId": j.id, "status": StatusDone, "cacheHit": true,
 	})
 }
 
@@ -1028,10 +995,10 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	}
 }
 
-// submitDispatched enqueues a job through the dispatch coordinator:
-// instead of a closure bound to this process, the queue carries a
-// serializable JobSpec that a remote worker (or the local executor) can
-// run — same deadlines, same cache policy, same canonical result bytes.
+// submitDispatched enqueues an optimization job as a serializable
+// JobSpec that the local executor or a remote worker runs — same
+// deadline, same cache policy, same canonical result bytes wherever it
+// lands.
 func (s *Server) submitDispatched(jctx context.Context, j *job, req *optimizeRequest, deadline time.Time) error {
 	spec := &dispatch.JobSpec{
 		Tree:     req.tree,
@@ -1045,24 +1012,10 @@ func (s *Server) submitDispatched(jctx context.Context, j *job, req *optimizeReq
 	}
 	var tr *obs.Trace
 	if req.trace {
-		mem := &obs.Memory{}
-		tr = obs.New(obs.Options{})
-		tr.AttachSink(mem)
-		tr.AttachSink(obs.ExpvarSink{})
-		j.mu.Lock()
-		j.trace = mem
-		j.mu.Unlock()
+		tr = j.startTrace()
 		s.recordForwardHop(tr, req)
 	}
-	tk, err := s.coord.Submit(jctx, req.pri, spec, tr, func(ev jobq.LeaseEvent) {
-		// Runs under the queue lock: job-record field writes only.
-		if ev.Kind == jobq.LeaseGranted && ev.Attempt == 1 {
-			j.mu.Lock()
-			j.status = StatusRunning
-			j.started = time.Now()
-			j.mu.Unlock()
-		}
-	})
+	tk, err := s.q.SubmitLeasable(jctx, req.pri, spec, s.observeJob(j, tr))
 	if err != nil {
 		return err
 	}
@@ -1071,11 +1024,34 @@ func (s *Server) submitDispatched(jctx context.Context, j *job, req *optimizeReq
 	return nil
 }
 
-// finishDispatched waits for a dispatched job's ticket and lands the
-// outcome in the job record and (for clean, undegraded results) the
-// cache — the dispatch-path twin of runJob's tail. It takes the key and
-// cache policy rather than the request because recovered jobs have no
-// request: their spec is all that survived the crash.
+// observeJob is the lease-event callback of one optimization job: it
+// builds the job's dispatch trace (when tr is non-nil), counts every
+// granted attempt — local or remote — as a solver run, and marks the
+// record running at the first grant. It runs under the queue lock:
+// trace, counter and job-record writes only.
+func (s *Server) observeJob(j *job, tr *obs.Trace) func(jobq.LeaseEvent) {
+	trace := dispatch.TraceObserver(tr)
+	return func(ev jobq.LeaseEvent) {
+		if trace != nil {
+			trace(ev)
+		}
+		if ev.Kind != jobq.LeaseGranted {
+			return
+		}
+		bump(&s.met.solverRuns, "server_solver_runs")
+		j.mu.Lock()
+		if j.status == StatusQueued {
+			j.status = StatusRunning
+			j.started = time.Now()
+		}
+		j.mu.Unlock()
+	}
+}
+
+// finishDispatched waits for a job's ticket and lands the outcome in the
+// job record and (for clean, undegraded results) the cache. It takes the
+// key and cache policy rather than the request because recovered jobs
+// have no request: their spec is all that survived the crash.
 func (s *Server) finishDispatched(j *job, key string, noCache bool, tr *obs.Trace, tk *jobq.Ticket) {
 	defer s.dispatchWG.Done()
 	defer j.cancel()
@@ -1084,47 +1060,46 @@ func (s *Server) finishDispatched(j *job, key string, noCache bool, tr *obs.Trac
 	if ferr := tr.Flush(); ferr != nil && err == nil {
 		err = fmt.Errorf("trace flush: %w", ferr)
 	}
-	if err != nil {
-		var rex *jobq.RetryExhaustedError
-		switch {
-		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-			bump(&s.met.expired, "server_jobs_expired")
-			j.finishErr(StatusExpired, err)
-		case errors.As(err, &rex):
-			bump(&s.met.failed, "server_jobs_failed")
-			j.finishErr(StatusFailed, err)
-		default:
-			bump(&s.met.failed, "server_jobs_failed")
-			j.finishErr(StatusFailed, err)
-		}
-		return
-	}
 	out, ok := result.(*dispatch.Outcome)
-	if !ok {
-		bump(&s.met.failed, "server_jobs_failed")
-		j.finishErr(StatusFailed, fmt.Errorf("dispatch: unexpected outcome %T", result))
+	if err == nil && !ok {
+		err = fmt.Errorf("dispatch: unexpected outcome %T", result)
+	}
+	if err != nil {
+		s.finish(j, nil, "", false, err)
 		return
 	}
-	// Same cache policy as the local path: degraded results are what the
-	// deadline allowed, not the answer to the problem — never cache them.
-	// Memory tier only: on the dispatch path the bytes already reached
-	// the persistent store (when one is configured) before the
+	// Degraded results are what the deadline allowed, not the answer to
+	// the problem — caching one would serve a worse tree to a future
+	// caller with a roomier budget. Memory tier only: the bytes already
+	// reached the persistent store (when one is configured) before the
 	// completion was acknowledged.
-	if !out.Degraded && !noCache {
-		s.cache.PutLocal(key, out.ResultJSON)
-		s.replicateResult(key, out.ResultJSON)
-	}
 	if !out.Degraded {
+		if !noCache {
+			s.cache.PutLocal(key, out.ResultJSON)
+			s.replicateResult(key, out.ResultJSON)
+		}
 		s.landZones(j, out.Zones, out.ZonesReused, out.ZonesResolved)
 	}
-	bump(&s.met.completed, "server_jobs_completed")
-	j.mu.Lock()
-	j.status = StatusDone
-	j.finished = time.Now()
-	j.resultJSON = out.ResultJSON
-	j.algorithmUsed = out.AlgorithmUsed
-	j.degraded = out.Degraded
-	j.mu.Unlock()
+	s.finish(j, out.ResultJSON, out.AlgorithmUsed, out.Degraded, nil)
+}
+
+// finish records a job's terminal state and counts it. A nil err lands
+// the result bytes and their decoration; otherwise context exhaustion —
+// the deadline passing in the queue, on a lease, or mid-solve — is an
+// expiry, and every other error, retry exhaustion included, a failure.
+func (s *Server) finish(j *job, blob []byte, algorithm string, degraded bool, err error) {
+	status, msg := StatusDone, ""
+	switch {
+	case err == nil:
+		bump(&s.met.completed, "server_jobs_completed")
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		status, msg = StatusExpired, err.Error()
+		bump(&s.met.expired, "server_jobs_expired")
+	default:
+		status, msg = StatusFailed, err.Error()
+		bump(&s.met.failed, "server_jobs_failed")
+	}
+	j.land(status, blob, algorithm, degraded, msg)
 }
 
 func (s *Server) rejectDraining(w http.ResponseWriter) {
@@ -1134,85 +1109,29 @@ func (s *Server) rejectDraining(w http.ResponseWriter) {
 	})
 }
 
-// runJob executes one queued job on a jobq worker.
-func (s *Server) runJob(ctx context.Context, j *job, req *optimizeRequest) {
-	defer j.cancel()
-	if ctx.Err() != nil {
-		// The deadline passed while the job sat in the backlog: surface
-		// the expiry without spending solver time on it.
-		bump(&s.met.expired, "server_jobs_expired")
-		j.finishErr(StatusExpired, ctx.Err())
-		return
-	}
+// land moves j to a terminal state.
+func (j *job) land(status string, blob []byte, algorithm string, degraded bool, errMsg string) {
 	j.mu.Lock()
-	j.status = StatusRunning
-	j.started = time.Now()
-	j.mu.Unlock()
-
-	var tr *obs.Trace
-	if req.trace {
-		mem := &obs.Memory{}
-		tr = obs.New(obs.Options{})
-		tr.AttachSink(mem)
-		tr.AttachSink(obs.ExpvarSink{})
-		j.mu.Lock()
-		j.trace = mem
-		j.mu.Unlock()
-		s.recordForwardHop(tr, req)
-		ctx = obs.Into(ctx, tr)
-	}
-
-	bump(&s.met.solverRuns, "server_solver_runs")
-	res, err := req.design.Optimize(ctx, req.cfg)
-	if ferr := tr.Flush(); ferr != nil && err == nil {
-		err = fmt.Errorf("trace flush: %w", ferr)
-	}
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			bump(&s.met.expired, "server_jobs_expired")
-			j.finishErr(StatusExpired, err)
-		} else {
-			bump(&s.met.failed, "server_jobs_failed")
-			j.finishErr(StatusFailed, err)
-		}
-		return
-	}
-	// The stored Result is the semantic answer only: per-run telemetry is
-	// served by the trace endpoint and never enters the result bytes, so
-	// cache hits are byte-identical replays.
-	res.Stats = nil
-	blob, merr := json.Marshal(res)
-	if merr != nil {
-		bump(&s.met.failed, "server_jobs_failed")
-		j.finishErr(StatusFailed, merr)
-		return
-	}
-	// Degraded results are what the deadline allowed, not the answer to
-	// the problem — caching one would serve a worse tree to a future
-	// caller with a roomier budget.
-	if !res.Degraded && !req.noCache {
-		s.cache.Put(req.key, blob)
-		s.replicateResult(req.key, blob)
-	}
-	if !res.Degraded {
-		s.landZones(j, res.Zones, res.ZonesReused, res.ZonesResolved)
-	}
-	bump(&s.met.completed, "server_jobs_completed")
-	j.mu.Lock()
-	j.status = StatusDone
-	j.finished = time.Now()
-	j.resultJSON = blob
-	j.algorithmUsed = res.AlgorithmUsed
-	j.degraded = res.Degraded
-	j.mu.Unlock()
-}
-
-func (j *job) finishErr(status string, err error) {
-	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.status = status
 	j.finished = time.Now()
-	j.errMsg = err.Error()
+	j.resultJSON = blob
+	j.algorithmUsed = algorithm
+	j.degraded = degraded
+	j.errMsg = errMsg
+}
+
+// startTrace gives j a fresh trace: its events land in the job's memory
+// sink (served by GET /v1/jobs/{id}/trace) and the expvar mirror.
+func (j *job) startTrace() *obs.Trace {
+	mem := &obs.Memory{}
+	tr := obs.New(obs.Options{})
+	tr.AttachSink(mem)
+	tr.AttachSink(obs.ExpvarSink{})
+	j.mu.Lock()
+	j.trace = mem
 	j.mu.Unlock()
+	return tr
 }
 
 // --- job registry --------------------------------------------------------

@@ -47,7 +47,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"expvar"
 	"fmt"
 	"io"
@@ -57,7 +56,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"wavemin/internal/obs"
 	"wavemin/internal/rescache"
@@ -549,21 +547,7 @@ func (s *Server) serveFromReplica(w http.ResponseWriter, req *optimizeRequest) b
 		}
 		sh.bump(&sh.replicaHits, "replica_read_hits")
 		bump(&s.met.submitted, "server_jobs_submitted")
-		bump(&s.met.cacheHits, "server_cache_hits")
-		j := s.addJob(req, true)
-		var res struct {
-			AlgorithmUsed string
-		}
-		_ = json.Unmarshal(blob, &res)
-		j.mu.Lock()
-		j.status = StatusDone
-		j.finished = time.Now()
-		j.resultJSON = blob
-		j.algorithmUsed = res.AlgorithmUsed
-		j.mu.Unlock()
-		writeJSON(w, http.StatusOK, map[string]any{
-			"jobId": j.id, "status": StatusDone, "cacheHit": true,
-		})
+		s.serveCacheHit(w, req, blob)
 		return true
 	}
 	return false

@@ -35,7 +35,8 @@ func (s *Server) submitYield(jctx context.Context, j *job, req *optimizeRequest)
 }
 
 // runYield drives one yield job end to end: candidate generation, the
-// sampling race, and landing the report in the job record and cache.
+// sampling race with its chunks fanned out on the lease queue, and
+// landing the report in the job record and cache.
 func (s *Server) runYield(ctx context.Context, j *job, req *optimizeRequest) {
 	defer s.dispatchWG.Done()
 	defer s.yieldPending.Add(-1)
@@ -45,8 +46,7 @@ func (s *Server) runYield(ctx context.Context, j *job, req *optimizeRequest) {
 	case s.yieldSem <- struct{}{}:
 		defer func() { <-s.yieldSem }()
 	case <-ctx.Done():
-		bump(&s.met.expired, "server_jobs_expired")
-		j.finishErr(StatusExpired, ctx.Err())
+		s.finish(j, nil, "", false, ctx.Err())
 		return
 	}
 	j.mu.Lock()
@@ -55,13 +55,7 @@ func (s *Server) runYield(ctx context.Context, j *job, req *optimizeRequest) {
 	j.mu.Unlock()
 
 	if req.trace {
-		mem := &obs.Memory{}
-		tr := obs.New(obs.Options{})
-		tr.AttachSink(mem)
-		tr.AttachSink(obs.ExpvarSink{})
-		j.mu.Lock()
-		j.trace = mem
-		j.mu.Unlock()
+		tr := j.startTrace()
 		s.recordForwardHop(tr, req)
 		ctx = obs.Into(ctx, tr)
 		defer tr.Flush()
@@ -80,25 +74,18 @@ func (s *Server) runYield(ctx context.Context, j *job, req *optimizeRequest) {
 	obs.ExpvarCounters().Add("server_solver_runs", int64(p.Candidates))
 	cands, rejected, err := yield.GenerateCandidates(ctx, req.tree, req.cfg, req.modes, p)
 	if err != nil {
-		s.finishYieldErr(j, err)
+		s.finish(j, nil, "", false, err)
 		return
 	}
-
-	var runner yield.Runner
-	if s.coord != nil {
-		runner = &fleetRunner{s: s, pri: req.pri, deadline: deadlineOf(ctx)}
-	} else {
-		runner = &yield.LocalRunner{Workers: req.cfg.Workers}
-	}
+	runner := &fleetRunner{s: s, pri: req.pri, deadline: deadlineOf(ctx)}
 	rep, err := yield.Run(ctx, cands, p, rejected, mode, runner)
 	if err != nil {
-		s.finishYieldErr(j, err)
+		s.finish(j, nil, "", false, err)
 		return
 	}
-	blob, merr := json.Marshal(rep)
-	if merr != nil {
-		bump(&s.met.failed, "server_jobs_failed")
-		j.finishErr(StatusFailed, merr)
+	blob, err := json.Marshal(rep)
+	if err != nil {
+		s.finish(j, nil, "", false, err)
 		return
 	}
 	// Yield reports are pure functions of (tree, config, modes, knobs) —
@@ -113,26 +100,7 @@ func (s *Server) runYield(ctx context.Context, j *job, req *optimizeRequest) {
 	if rep.EarlyStopped {
 		bump(&s.met.yieldEarlyStops, "server_yield_early_stops")
 	}
-	bump(&s.met.completed, "server_jobs_completed")
-	j.mu.Lock()
-	j.status = StatusDone
-	j.finished = time.Now()
-	j.resultJSON = blob
-	j.algorithmUsed = rep.AlgorithmUsed
-	j.mu.Unlock()
-}
-
-// finishYieldErr classifies a yield failure the way runJob does: context
-// exhaustion (including a candidate solve degrading under the deadline)
-// is an expiry, everything else a failure.
-func (s *Server) finishYieldErr(j *job, err error) {
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		bump(&s.met.expired, "server_jobs_expired")
-		j.finishErr(StatusExpired, err)
-		return
-	}
-	bump(&s.met.failed, "server_jobs_failed")
-	j.finishErr(StatusFailed, err)
+	s.finish(j, blob, rep.AlgorithmUsed, false, nil)
 }
 
 // deadlineOf extracts ctx's deadline (zero time when none): sub-lease
@@ -145,9 +113,10 @@ func deadlineOf(ctx context.Context) time.Time {
 	return time.Time{}
 }
 
-// fleetRunner fans a round's chunks out over the dispatch fleet as
-// sub-leases and folds the outcomes back into the slot order the driver
-// expects. Chunks refused by the queue (full, or draining) are evaluated
+// fleetRunner fans a round's chunks out on the lease queue as
+// sub-leases — run by the local pool or a remote worker — and folds the
+// outcomes back into the slot order the driver expects. Chunks refused
+// by the queue (full, or draining) are evaluated
 // inline — the chunk determinism contract makes the fallback
 // byte-identical, so admission pressure can slow a yield run but never
 // change its answer.
@@ -166,7 +135,7 @@ func (f *fleetRunner) RunChunks(ctx context.Context, specs []*yield.ChunkSpec) (
 	pends := make([]pending, 0, len(specs))
 	for i, spec := range specs {
 		js := &dispatch.JobSpec{Yield: spec, Deadline: f.deadline, NoCache: true}
-		tk, err := f.s.coord.SubmitSub(ctx, f.pri, js, nil)
+		tk, err := f.s.q.SubmitSubLease(ctx, f.pri, js, nil)
 		if err != nil {
 			if errors.Is(err, jobq.ErrFull) || errors.Is(err, jobq.ErrDraining) {
 				st, cerr := yield.ExecuteChunk(ctx, spec)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"sync/atomic"
@@ -31,6 +32,32 @@ func yieldReqBody(t *testing.T) []byte {
 	})
 }
 
+// yieldReference computes the report bytes for body with no server in
+// the loop: the decoded request runs through yield.GenerateCandidates
+// and yield.Run with the in-process LocalRunner — the reference every
+// served yield report must match byte for byte.
+func yieldReference(t *testing.T, body []byte) json.RawMessage {
+	t.Helper()
+	req, apiErr := decodeOptimizeRequest(body, Options{}.withDefaults())
+	if apiErr != nil {
+		t.Fatalf("decode: %s", apiErr.message)
+	}
+	ctx := context.Background()
+	cands, rejected, err := yield.GenerateCandidates(ctx, req.tree, req.cfg, req.modes, *req.yield)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := yield.Run(ctx, cands, *req.yield, rejected, nil, &yield.LocalRunner{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
 // runYieldJob submits the body, waits for completion, and returns the
 // finished view plus the raw result bytes.
 func runYieldJob(t *testing.T, h *harness, body []byte) (jobView, json.RawMessage) {
@@ -48,12 +75,16 @@ func runYieldJob(t *testing.T, h *harness, body []byte) (jobView, json.RawMessag
 }
 
 // TestYieldEndToEndLocal drives yield mode through the plain in-process
-// server: report shape, job decoration, early-stop metrics, and the
-// cache replay contract under the extended key.
+// server, whose chunks run on its own pool: report bytes against the
+// LocalRunner reference, report shape, job decoration, early-stop
+// metrics, and the cache replay contract under the extended key.
 func TestYieldEndToEndLocal(t *testing.T) {
 	h := newHarness(t, Options{Workers: 2, DefaultTimeout: time.Minute, MaxTimeout: time.Minute})
 	body := yieldReqBody(t)
 	v, res := runYieldJob(t, h, body)
+	if want := yieldReference(t, body); string(res) != string(want) {
+		t.Fatalf("in-process report differs from the LocalRunner reference\nwant: %s\ngot:  %s", want, res)
+	}
 	if v.AlgorithmUsed != yield.AlgorithmYieldMC {
 		t.Fatalf("algorithmUsed = %q, want %q", v.AlgorithmUsed, yield.AlgorithmYieldMC)
 	}
@@ -80,6 +111,9 @@ func TestYieldEndToEndLocal(t *testing.T) {
 	m := h.srv.MetricsSnapshot()
 	if m.YieldJobs != 1 {
 		t.Fatalf("YieldJobs = %d, want 1", m.YieldJobs)
+	}
+	if m.YieldChunks == 0 {
+		t.Fatal("no chunk went through the lease queue")
 	}
 	if m.YieldSamplesSaved <= 0 || m.YieldEarlyStops != 1 {
 		t.Fatalf("early stop not visible in metrics: saved=%d stops=%d",
@@ -110,16 +144,13 @@ func TestYieldEndToEndLocal(t *testing.T) {
 
 // TestYieldFleetByteIdentical is the distributed acceptance test: a
 // 3-worker fleet — with a seeded worker kill mid-chunk — must produce
-// exactly the bytes of the single-node run. The kill exercises the whole
+// exactly the bytes of the LocalRunner reference. The kill exercises the whole
 // failure path: the crashed worker abandons its lease, the sweeper
 // requeues the chunk, another worker re-executes it, and the retry must
 // not double-count (the report would change bytes if it did).
 func TestYieldFleetByteIdentical(t *testing.T) {
 	body := yieldReqBody(t)
-
-	// Reference: plain single-node server, pure local execution.
-	ref := newHarness(t, Options{Workers: 2, DefaultTimeout: time.Minute, MaxTimeout: time.Minute})
-	_, want := runYieldJob(t, ref, body)
+	want := yieldReference(t, body)
 
 	// Fleet: coordinator with remote-only execution and a tight lease so
 	// the injected crash requeues quickly.
@@ -152,7 +183,7 @@ func TestYieldFleetByteIdentical(t *testing.T) {
 
 	_, got := runYieldJob(t, fleet, body)
 	if string(got) != string(want) {
-		t.Fatalf("fleet report differs from single-node reference\nwant: %s\ngot:  %s", want, got)
+		t.Fatalf("fleet report differs from the LocalRunner reference\nwant: %s\ngot:  %s", want, got)
 	}
 	if kills.Load() < 1 {
 		t.Fatal("kill hook never fired: the crash path went unexercised")
