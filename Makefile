@@ -2,7 +2,7 @@ GO ?= go
 BENCH_DATE := $(shell date +%F)
 BENCH_LATEST = $(lastword $(sort $(filter-out BENCH_baseline.json,$(wildcard BENCH_*.json))))
 
-.PHONY: build test vet race check verify bench benchdiff cover e2e e2e-dispatch e2e-crash e2e-eco e2e-shard e2e-rebalance e2e-yield test-flake fuzz-smoke
+.PHONY: build test vet race check verify bench benchdiff cover e2e e2e-dispatch e2e-crash e2e-eco e2e-shard e2e-rebalance e2e-yield test-flake fuzz-smoke perfbench-vet loc
 
 build:
 	$(GO) build ./...
@@ -20,16 +20,29 @@ vet:
 race: vet
 	$(GO) test -race ./...
 
-# Default gate: tier 1, vet, the worker-determinism tests under the race
-# detector (the parallel fan-outs must be bitwise reproducible at any
-# worker count; the full -race suite stays in `make race`), the coverage
-# floor, a short fuzz smoke over the lease protocol and journal replay,
-# the subprocess kill -9 recovery loop, and — because every job runs on
-# the lease queue — the dispatch chaos suite and the whole queue package
+# Default gate: tier 1, vet, the service benchmark's build and helper
+# tests, the worker-determinism tests under the race detector (the
+# parallel fan-outs must be bitwise reproducible at any worker count;
+# the full -race suite stays in `make race`), the coverage floor, a
+# short fuzz smoke over the lease protocol and journal replay, the
+# subprocess kill -9 recovery loop, and — because every job runs on the
+# lease queue — the dispatch chaos suite and the whole queue package
 # under the race detector.
-check: test vet cover fuzz-smoke e2e-crash e2e-eco e2e-shard e2e-rebalance e2e-yield e2e-dispatch
+check: test vet perfbench-vet cover fuzz-smoke e2e-crash e2e-eco e2e-shard e2e-rebalance e2e-yield e2e-dispatch
 	$(GO) test -race -run Parallel . ./internal/...
 	$(GO) test -race ./internal/jobq
+
+# The service benchmark is its own module over this checkout (`replace
+# wavemin => ../`, no downloads), so a change that breaks an API it calls
+# fails here rather than in the benchmark run.
+perfbench-vet:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# Non-test Go lines of the module proper — the root package, cmd/,
+# internal/ and scripts/; not examples/, perfbench/ or .bench_build/ —
+# the size figure changes report before and after.
+loc:
+	@{ ls *.go; find cmd internal scripts -name '*.go'; } | grep -v '_test\.go$$' | xargs cat | wc -l
 
 # Coverage with floors: internal/obs (the telemetry layer every solver
 # calls into), the serving stack (jobq, rescache, server, dispatch), and

@@ -42,7 +42,7 @@ import (
 	"wavemin/internal/wal"
 )
 
-// Options configures a Store. Zero values take the defaults noted.
+// Options configures a Store.
 type Options struct {
 	// MaxBytes bounds the total size of entry files on disk; least-
 	// recently-used entries are deleted to respect it. 0 = unbounded.
@@ -51,17 +51,11 @@ type Options struct {
 	// considered stored. Off, a crash can lose recent puts — they
 	// re-solve on the next request — but a served entry is always whole.
 	Sync bool
-	// CompactEvery compacts the index journal after this many operations
-	// since the last checkpoint (default 4096).
-	CompactEvery int
 }
 
-func (o Options) withDefaults() Options {
-	if o.CompactEvery == 0 {
-		o.CompactEvery = 4096
-	}
-	return o
-}
+// compactEvery is how many index operations since the last checkpoint
+// trigger a compaction of the index journal.
+const compactEvery = 4096
 
 // Stats is a point-in-time snapshot of the store's counters.
 type Stats struct {
@@ -142,7 +136,6 @@ type indexEntry struct {
 // the index journal, adopts any entry files the index lost, and
 // enforces the byte budget.
 func Open(dir string, opts Options) (*Store, error) {
-	opts = opts.withDefaults()
 	for _, sub := range []string{"objects", "quarantine"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("castore: %w", err)
@@ -461,7 +454,7 @@ func (s *Store) compactLocked(force bool) {
 	if s.index == nil {
 		return
 	}
-	if !force && s.ops < s.opts.CompactEvery {
+	if !force && s.ops < compactEvery {
 		return
 	}
 	snap := make([]indexEntry, 0, len(s.items))

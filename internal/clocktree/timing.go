@@ -93,16 +93,6 @@ func (t *Tree) ComputeTiming(mode Mode) *Timing {
 	return tm
 }
 
-// LeafArrivals returns the arrival times at the outputs of all leaves, in
-// leaf ID order — the paper's "arrival times of sinks".
-func (tm *Timing) LeafArrivals(t *Tree) map[NodeID]float64 {
-	out := make(map[NodeID]float64)
-	for _, id := range t.Leaves() {
-		out[id] = tm.ATOut[id]
-	}
-	return out
-}
-
 // Skew returns the clock skew: max − min leaf arrival time.
 func (tm *Timing) Skew(t *Tree) float64 {
 	lo, hi := math.Inf(1), math.Inf(-1)

@@ -139,10 +139,6 @@ func (t *Tree) SetSinkCap(id NodeID, capFF float64) {
 	t.nodes[id].SinkCap = capFF
 }
 
-// SetDomain assigns the node and (by later inheritance at AddChild time)
-// its future children to a voltage island.
-func (t *Tree) SetDomain(id NodeID, domain string) { t.nodes[id].Domain = domain }
-
 // SetDomainSubtree assigns the whole subtree under id to a voltage island.
 func (t *Tree) SetDomainSubtree(id NodeID, domain string) {
 	t.nodes[id].Domain = domain

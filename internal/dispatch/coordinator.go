@@ -30,12 +30,6 @@ type Options struct {
 	// hybrid default for `wavemind -role=coordinator`, and the only
 	// executor of a server that mounts no dispatch protocol.
 	LocalExec bool
-	// SolverWorkers caps solver parallelism for locally-executed jobs
-	// (0 = uncapped). Results are identical for every cap.
-	SolverWorkers int
-	// MaxLeaseWait bounds the long-poll duration of the lease endpoint
-	// (default 30s); client waitMs beyond it is clamped.
-	MaxLeaseWait time.Duration
 	// MaxWireBytes bounds a protocol request body (default 64 MiB).
 	// Outcome bodies carry a full result plus trace events, so the
 	// default is generous; operators fronting untrusted workers can
@@ -55,6 +49,10 @@ type Options struct {
 	ShardLabel string
 }
 
+// maxLeaseWait bounds the long-poll duration of the lease endpoint;
+// client waitMs beyond it is clamped.
+const maxLeaseWait = 30 * time.Second
+
 func (o Options) withDefaults() Options {
 	if o.LeaseTTL == 0 {
 		o.LeaseTTL = 15 * time.Second
@@ -64,9 +62,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SweepInterval == 0 {
 		o.SweepInterval = o.LeaseTTL / 4
-	}
-	if o.MaxLeaseWait == 0 {
-		o.MaxLeaseWait = 30 * time.Second
 	}
 	if o.MaxWireBytes == 0 {
 		o.MaxWireBytes = 64 << 20
@@ -121,7 +116,8 @@ func NewCoordinator(q *jobq.Queue, opts Options) *Coordinator {
 			if !ok {
 				return nil, fmt.Errorf("dispatch: unexpected payload %T", payload)
 			}
-			out, err := ExecuteSpec(ctx, spec, opts.SolverWorkers)
+			// No cap here: the submitter already capped Config.Workers.
+			out, err := ExecuteSpec(ctx, spec, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -328,9 +324,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 			message: fmt.Sprintf("negative waitMs %d", req.WaitMs)})
 		return
 	}
-	if wait > c.opts.MaxLeaseWait {
-		wait = c.opts.MaxLeaseWait
-	}
+	wait = min(wait, maxLeaseWait)
 
 	var lease *jobq.Lease
 	var err error

@@ -72,9 +72,10 @@ type JobSpec struct {
 	// marshaled yield.ChunkStats as ResultJSON. Chunk specs ride the same
 	// lease protocol as full jobs (heartbeats, requeues, bounded retries)
 	// but are submitted as sub-leases — never journaled, never cached —
-	// because the parent re-derives them on recovery and their bytes are
-	// already a pure function of the chunk identity. The spec's Tree /
-	// Config / Modes fields are unused; the chunk carries its own tree.
+	// because they are meaningless without their parent job (which is
+	// not journaled either) and their bytes are already a pure function
+	// of the chunk identity. The spec's Tree / Config / Modes fields are
+	// unused; the chunk carries its own tree.
 	Yield *yield.ChunkSpec `json:"yield,omitempty"`
 }
 

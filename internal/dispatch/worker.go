@@ -34,15 +34,17 @@ type WorkerOptions struct {
 	Client *http.Client
 	// PollWait is the long-poll duration per lease request (default 2s).
 	PollWait time.Duration
-	// RetryBaseWait seeds the lease-poll backoff after a transport
-	// failure (default 100ms). Each consecutive failure doubles the wait
-	// up to RetryMaxWait, with full jitter, and any successful poll —
-	// including an empty 204 — resets it, so a restarting coordinator is
-	// not met by its whole fleet retrying in lockstep.
-	RetryBaseWait time.Duration
-	// RetryMaxWait caps the backoff (default 5s).
-	RetryMaxWait time.Duration
 }
+
+// The lease-poll backoff after a transport failure starts at
+// retryBaseWait and doubles per consecutive failure up to retryMaxWait,
+// with full jitter; any successful poll — including an empty 204 —
+// resets it, so a restarting coordinator is not met by its whole fleet
+// retrying in lockstep.
+const (
+	retryBaseWait = 100 * time.Millisecond
+	retryMaxWait  = 5 * time.Second
+)
 
 // Worker pulls jobs from a coordinator and solves them: the client side
 // of the dispatch protocol. Run loops lease → solve (heartbeating) →
@@ -64,15 +66,6 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 	}
 	if opts.PollWait <= 0 {
 		opts.PollWait = 2 * time.Second
-	}
-	if opts.RetryBaseWait <= 0 {
-		opts.RetryBaseWait = 100 * time.Millisecond
-	}
-	if opts.RetryMaxWait <= 0 {
-		opts.RetryMaxWait = 5 * time.Second
-	}
-	if opts.RetryMaxWait < opts.RetryBaseWait {
-		opts.RetryMaxWait = opts.RetryBaseWait
 	}
 	client := opts.Client
 	if client == nil {
@@ -99,7 +92,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	w.cancel.Store(cancel)
-	retryWait := w.opts.RetryBaseWait
+	retryWait := retryBaseWait
 	for {
 		if w.killed.Load() {
 			return ErrKilled
@@ -128,13 +121,10 @@ func (w *Worker) Run(ctx context.Context) error {
 			case <-ctx.Done():
 				return ctx.Err()
 			}
-			retryWait *= 2
-			if retryWait > w.opts.RetryMaxWait {
-				retryWait = w.opts.RetryMaxWait
-			}
+			retryWait = min(2*retryWait, retryMaxWait)
 			continue
 		}
-		retryWait = w.opts.RetryBaseWait // the coordinator answered
+		retryWait = retryBaseWait // the coordinator answered
 		if lease == nil {
 			continue // long poll elapsed with no work
 		}

@@ -256,7 +256,6 @@ type Queue struct {
 	leases      map[string]*job
 	outstanding int
 	leaseExec   func(ctx context.Context, payload any) (any, error)
-	retryHint   time.Duration
 
 	// Durability (see journal.go). jrnl/codec are set once by
 	// AttachJournal before serving; jobSeq assigns journal identities.
@@ -284,7 +283,6 @@ func New(capacity, workers int) *Queue {
 		workers:     workers,
 		leaseTTL:    15 * time.Second,
 		maxAttempts: 3,
-		retryHint:   time.Second,
 		// Lease IDs carry a per-incarnation epoch so that after a crash
 		// and journal replay, a stale worker holding a pre-crash lease can
 		// never collide with a freshly issued ID: its mutations are
@@ -344,12 +342,12 @@ func (q *Queue) SubmitLeasable(ctx context.Context, pri Priority, payload any, o
 
 // SubmitSubLease enqueues a job that is a sub-unit of an already-accepted
 // parent job — internal/yield's Monte Carlo chunks. It behaves exactly
-// like SubmitLeasable except the job is never journaled: durability
-// belongs to the parent (which re-derives and resubmits its sub-units on
-// recovery), so journaling each chunk would only multiply WAL traffic
-// for records that are meaningless without the parent. The un-journaled
-// job keeps id 0, which the journal layer treats as "skip every record
-// for this job".
+// like SubmitLeasable except the job is never journaled: a sub-unit is
+// meaningless without its parent, and the parent is not journaled
+// either (a crash loses a running yield job; the client resubmits), so
+// a chunk record could never be replayed. The un-journaled job keeps id
+// 0, which the journal layer treats as "skip every record for this
+// job".
 //
 // Submissions during drain are refused with ErrDraining even though
 // accepted jobs may still be running: once the queue is draining, pool
@@ -822,39 +820,19 @@ func (q *Queue) Depth() int {
 	return q.queued
 }
 
-// SetRetryHint sets the Retry-After returned before the queue has seen
-// any completion — the cold-start case where the EWMA has no samples and
-// the old behavior (a flat 1s) told a client to hammer a queue that was
-// full precisely because jobs take much longer than a second. A sensible
-// hint is the operator's expected job duration (e.g. the service's
-// default solve timeout). Non-positive values are ignored; default 1s.
-func (q *Queue) SetRetryHint(d time.Duration) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if d > 0 {
-		q.retryHint = d
-	}
-}
-
 // RetryAfter estimates how long a rejected caller should wait before
 // resubmitting: the time for the pool to work one queue-capacity of
 // backlog off, based on the average job duration seen so far. Before any
-// sample exists it returns the configured retry hint (SetRetryHint).
-// Always positive and finite — clamped to [1s, 1h] — whatever the
-// concurrent duration updates did to the estimate.
+// sample exists it returns 1s. Always positive and finite — clamped to
+// [1s, 1h] — whatever the concurrent duration updates did to the
+// estimate.
 func (q *Queue) RetryAfter() time.Duration {
 	q.mu.Lock()
 	avg := q.avgNs
 	depth := q.queued
-	hint := q.retryHint
 	q.mu.Unlock()
 	if math.IsNaN(avg) || math.IsInf(avg, 0) || avg <= 0 {
-		if hint < time.Second {
-			hint = time.Second
-		} else if hint > time.Hour {
-			hint = time.Hour
-		}
-		return hint.Round(time.Second)
+		return time.Second
 	}
 	slots := (depth + q.workers) / q.workers
 	est := time.Duration(avg * float64(slots))

@@ -19,8 +19,9 @@
 //
 // Records are JSON payloads inside the WAL's CRC-framed records. The
 // journal covers jobs admitted through SubmitLeasable; sub-leases
-// (SubmitSubLease) are never journaled, because their parent job
-// re-derives them on recovery.
+// (SubmitSubLease) are never journaled, because they are meaningless
+// without a parent job that is not journaled either — a crash loses a
+// running yield job, and the client resubmits it.
 package jobq
 
 import (

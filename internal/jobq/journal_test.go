@@ -381,18 +381,10 @@ func TestReplayerRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestRetryAfterHonorsConfiguredHintBeforeSamples(t *testing.T) {
+func TestRetryAfterColdHintBeforeSamples(t *testing.T) {
 	q := New(1, 1)
 	if got := q.RetryAfter(); got != time.Second {
-		t.Fatalf("default cold hint = %v, want 1s", got)
-	}
-	q.SetRetryHint(45 * time.Second)
-	if got := q.RetryAfter(); got != 45*time.Second {
-		t.Fatalf("cold hint = %v, want 45s", got)
-	}
-	q.SetRetryHint(-1) // ignored
-	if got := q.RetryAfter(); got != 45*time.Second {
-		t.Fatalf("negative hint applied: %v", got)
+		t.Fatalf("cold hint = %v, want 1s", got)
 	}
 	// Once a sample exists the EWMA takes over.
 	q.mu.Lock()
@@ -405,9 +397,8 @@ func TestRetryAfterHonorsConfiguredHintBeforeSamples(t *testing.T) {
 
 // TestSubLeaseNeverJournaled pins the sub-lease contract: a job submitted
 // with SubmitSubLease rides the full lease lifecycle but leaves no trace
-// in the journal — a parent job re-derives its sub-units on recovery, so
-// journaling them would only multiply WAL traffic, and replaying one
-// without its parent would be meaningless.
+// in the journal — replaying one without its parent would be
+// meaningless, so journaling them would only multiply WAL traffic.
 func TestSubLeaseNeverJournaled(t *testing.T) {
 	dir := t.TempDir()
 	w := openJournal(t, dir)

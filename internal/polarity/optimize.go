@@ -72,11 +72,12 @@ type Config struct {
 	Workers int
 	// Zones, when non-nil, is the ECO-mode zone solution session: each
 	// (interval, zone) instance is content-keyed (ZoneKeyer) and replayed
-	// from the cache when unchanged, solved and stored when not. Replay is
-	// bitwise-identical to solving by construction — the key covers every
-	// solver input and the solver is deterministic — so attaching a
-	// session never changes the result, only the cost. Ignored by the
-	// ClkPeakMinBaseline algorithm (its zone solve is already cheap).
+	// from the session's seeds when unchanged, solved and recorded when
+	// not. Replay is bitwise-identical to solving by construction — the
+	// key covers every solver input and the solver is deterministic — so
+	// attaching a session never changes the result, only the cost.
+	// Ignored by the ClkPeakMinBaseline algorithm (its zone solve is
+	// already cheap).
 	Zones *zonecache.Session
 }
 
@@ -96,7 +97,7 @@ type Result struct {
 	IntervalsTried int
 	SkewEstimate   float64 // candidate-model skew of the assignment, ps
 	// ECO-mode accounting (zero unless Config.Zones was attached):
-	// instances replayed from the zone cache, instances actually solved,
+	// instances replayed from seeded solutions, instances actually solved,
 	// and warm-start labels seeded into re-solved instances.
 	ZonesReused    int
 	ZonesResolved  int

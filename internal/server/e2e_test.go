@@ -586,3 +586,20 @@ func TestParallelSubmitStorm(t *testing.T) {
 		}
 	}
 }
+
+// TestRefusedSubmissionsReleaseRetention: a refused submission (429 or
+// 503) mints a job record and removes it again, so its ID must not stay
+// in the retention order — or every refusal grows s.order for good.
+func TestRefusedSubmissionsReleaseRetention(t *testing.T) {
+	s := mustNew(t, Options{})
+	const cycles = 2*maxJobs + 1
+	for i := 0; i < cycles; i++ {
+		s.removeJob(s.addJob(&optimizeRequest{}, false).id)
+	}
+	s.mu.Lock()
+	jobs, order := len(s.jobs), len(s.order)
+	s.mu.Unlock()
+	if jobs != 0 || order > maxJobs {
+		t.Fatalf("after %d add/remove cycles: jobs=%d order=%d, want 0 and <= %d", cycles, jobs, order, maxJobs)
+	}
+}

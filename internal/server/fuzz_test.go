@@ -146,11 +146,8 @@ func TestOptimizeRejectsMalformed(t *testing.T) {
 	}
 
 	// Oversized bodies are bounded before decoding: 413, not an OOM.
-	big := fmt.Sprintf(`{"tree":"%s"}`, strings.Repeat("x", 1<<20))
-	srvSmall := mustNew(t, Options{MaxRequestBytes: 1024})
-	tsSmall := httptest.NewServer(srvSmall.Handler())
-	defer tsSmall.Close()
-	resp, err := http.Post(tsSmall.URL+"/v1/optimize", "application/json", strings.NewReader(big))
+	big := fmt.Sprintf(`{"tree":"%s"}`, strings.Repeat("x", maxRequestBytes))
+	resp, err := http.Post(ts.URL+"/v1/optimize", "application/json", strings.NewReader(big))
 	if err != nil {
 		t.Fatal(err)
 	}

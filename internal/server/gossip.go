@@ -39,6 +39,7 @@ import (
 	"strconv"
 	"time"
 
+	"wavemin/internal/rescache"
 	"wavemin/internal/shard"
 )
 
@@ -97,17 +98,19 @@ func (s *Server) drainSurrendered(cur, next *shard.Map) {
 	if len(surrendered) == 0 {
 		return
 	}
-	s.drainKeys(next, surrendered, s.cache.LocalKeys(), "/v1/shard/cache/",
-		func(key string) ([]byte, bool) { return s.cache.GetLocal(key) })
-	if s.zones != nil {
-		s.drainKeys(next, surrendered, s.zones.LocalKeys(), "/v1/shard/zones/",
-			func(key string) ([]byte, bool) { return s.zones.GetLocal(key) })
-	}
+	s.drainTier(next, surrendered, s.cache, "/v1/shard/cache/")
+	s.drainTier(next, surrendered, s.zones, "/v1/shard/zones/")
 }
 
-func (s *Server) drainKeys(next *shard.Map, surrendered map[int]int, keys []string, path string, get func(string) ([]byte, bool)) {
+// drainTier pushes t's warm keys in surrendered buckets to their new
+// owners over path. A nil t (the zone tier of an ECO-off node) holds
+// nothing to drain.
+func (s *Server) drainTier(next *shard.Map, surrendered map[int]int, t *rescache.Tiered, path string) {
+	if t == nil {
+		return
+	}
 	sh := s.sh
-	for _, key := range keys {
+	for _, key := range t.LocalKeys() {
 		b, err := next.BucketOf(key)
 		if err != nil {
 			continue // internal bookkeeping keys (job→zones maps) may not route
@@ -116,7 +119,7 @@ func (s *Server) drainKeys(next *shard.Map, surrendered map[int]int, keys []stri
 		if !ok {
 			continue
 		}
-		val, ok := get(key)
+		val, ok := t.GetLocal(key)
 		if !ok {
 			continue // evicted between snapshot and read
 		}
@@ -184,69 +187,59 @@ func (s *Server) replicateResult(key string, val []byte) {
 
 // --- push endpoints --------------------------------------------------------
 
-// handleShardCachePut accepts a pushed result-cache artifact (bucket
-// handoff or replication-on-write); handleShardZonesPut is its twin for
-// zone solutions. The receiver judges the push under ITS OWN current
-// map — catching up from the carried map or the sender first when the
-// versions skew — and accepts durably as the key's owner, memory-only
-// as one of its replicas, and refuses 421 with NO write otherwise: a
-// hostile or misrouted push can waste bandwidth, never place bytes on a
-// shard the map says shouldn't hold them.
-func (s *Server) handleShardCachePut(w http.ResponseWriter, r *http.Request) {
-	s.acceptPush(w, r,
-		func(key string, val []byte) { s.cache.Put(key, val) },
-		func(key string, val []byte) { s.cache.PutLocal(key, val) })
-}
-
-func (s *Server) handleShardZonesPut(w http.ResponseWriter, r *http.Request) {
-	if s.zones == nil {
-		writeAPIError(w, &apiError{status: http.StatusBadRequest, code: "eco_disabled",
-			message: "this node has no zone cache (Options.Eco / wavemind -eco)"})
-		return
+// handleShardPut accepts a pushed artifact into t — the result tier or
+// the zone tier (bucket handoff or replication-on-write). The receiver
+// judges the push under ITS OWN current map — catching up from the
+// carried map or the sender first when the versions skew — and accepts
+// durably as the key's owner, memory-only as one of its replicas, and
+// refuses 421 with NO write otherwise: a hostile or misrouted push can
+// waste bandwidth, never place bytes on a shard the map says shouldn't
+// hold them. A nil t is the zone tier of an ECO-off node.
+func (s *Server) handleShardPut(t *rescache.Tiered) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if t == nil {
+			writeAPIError(w, &apiError{status: http.StatusBadRequest, code: "eco_disabled",
+				message: "this node has no zone cache (Options.Eco / wavemind -eco)"})
+			return
+		}
+		sh := s.sh
+		key := r.PathValue("key")
+		if !validCacheKey(key) {
+			writeAPIError(w, &apiError{status: http.StatusBadRequest, code: "bad_key",
+				message: "cache keys are 64-character lowercase-hex digests"})
+			return
+		}
+		val, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxPeerResponseBytes))
+		if err != nil {
+			writeAPIError(w, badRequest("reading pushed value: %v", err))
+			return
+		}
+		from, _ := forwardedFrom(r)
+		m, agreed := s.syncForwardedVersion(r, from)
+		if !agreed {
+			s.writeMapSkew(w, r.Header.Get(headerShardMapVersion))
+			return
+		}
+		owner, err := m.ShardOf(key)
+		if err != nil {
+			writeAPIError(w, badRequest("shard routing: %v", err))
+			return
+		}
+		switch {
+		case owner == sh.id:
+			t.Put(key, val)
+			sh.bump(&sh.handoffRecv, "handoff_keys_received")
+		case m.IsReplica(key, sh.id):
+			t.PutLocal(key, val)
+			sh.bump(&sh.replicaStored, "replica_keys_stored")
+		default:
+			sh.bump(&sh.pushRefused, "push_wrong_shard")
+			writeAPIError(w, &apiError{status: http.StatusMisdirectedRequest, code: "wrong_shard",
+				message: fmt.Sprintf("key belongs to shard %d; this node (shard %d) is neither its owner nor a replica", owner, sh.id)})
+			return
+		}
+		w.WriteHeader(http.StatusNoContent)
 	}
-	s.acceptPush(w, r,
-		func(key string, val []byte) { s.zones.Put(key, val) },
-		func(key string, val []byte) { s.zones.PutLocal(key, val) })
-}
-
-func (s *Server) acceptPush(w http.ResponseWriter, r *http.Request, putOwned, putReplica func(string, []byte)) {
-	sh := s.sh
-	key := r.PathValue("key")
-	if !validCacheKey(key) {
-		writeAPIError(w, &apiError{status: http.StatusBadRequest, code: "bad_key",
-			message: "cache keys are 64-character lowercase-hex digests"})
-		return
-	}
-	val, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxPeerResponseBytes))
-	if err != nil {
-		writeAPIError(w, badRequest("reading pushed value: %v", err))
-		return
-	}
-	from, _ := forwardedFrom(r)
-	m, agreed := s.syncForwardedVersion(r, from)
-	if !agreed {
-		s.writeMapSkew(w, r.Header.Get(headerShardMapVersion))
-		return
-	}
-	owner, err := m.ShardOf(key)
-	if err != nil {
-		writeAPIError(w, badRequest("shard routing: %v", err))
-		return
-	}
-	switch {
-	case owner == sh.id:
-		putOwned(key, val)
-		sh.bump(&sh.handoffRecv, "handoff_keys_received")
-	case m.IsReplica(key, sh.id):
-		putReplica(key, val)
-		sh.bump(&sh.replicaStored, "replica_keys_stored")
-	default:
-		sh.bump(&sh.pushRefused, "push_wrong_shard")
-		writeAPIError(w, &apiError{status: http.StatusMisdirectedRequest, code: "wrong_shard",
-			message: fmt.Sprintf("key belongs to shard %d; this node (shard %d) is neither its owner nor a replica", owner, sh.id)})
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // handleShardMapPost is operator/test map injection: the rebalance

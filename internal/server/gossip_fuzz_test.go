@@ -20,7 +20,8 @@ package server
 //
 // Peer URLs are dead sockets: a hostile version header claiming a newer
 // map triggers a catch-up dial that must fail closed into the
-// structured 409, never a 5xx or a hang (PeerTimeout bounds it).
+// structured 409, never a 5xx or a hang (port 1 refuses the dial at
+// once).
 
 import (
 	"bytes"
@@ -32,7 +33,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"wavemin/internal/shard"
 )
@@ -47,7 +47,7 @@ func FuzzShardMapGossip(f *testing.F) {
 		f.Fatal(err)
 	}
 	dead := []string{"http://127.0.0.1:1", "http://127.0.0.1:1", "http://127.0.0.1:1"}
-	srv, err := New(Options{ShardMap: base, ShardID: 0, Peers: dead, PeerTimeout: 100 * time.Millisecond})
+	srv, err := New(Options{ShardMap: base, ShardID: 0, Peers: dead})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -60,16 +60,16 @@ func FuzzShardMapGossip(f *testing.F) {
 	var acceptedMu sync.Mutex
 	accepted := map[string]bool{}
 
-	ownedKey := strings.Repeat("0", 64)  // bucket 0 → shard 0 (round-robin)
+	ownedKey := strings.Repeat("0", 64)        // bucket 0 → shard 0 (round-robin)
 	otherKey := "01" + strings.Repeat("0", 62) // bucket 1 → shard 1, replica 2
 	seeds := []struct {
 		mapBody, key, ver, mapHdr string
 		val                       []byte
 	}{
-		{`{"map":"v4:8:3:r*1"}`, ownedKey, "3", "", []byte("x")},      // clean adoption, clean owned push
-		{`{"map":"v1:8:3"}`, otherKey, "3", "", []byte("y")},          // stale map, wrong-shard push
-		{`{"map":"v9:4:3"}`, ownedKey, "99", "v99:8:3", []byte("z")},  // shape change, piggybacked catch-up
-		{`{"map":"v1073741825:8:3"}`, ownedKey, "-1", "vX", nil},      // version overflow, hostile headers
+		{`{"map":"v4:8:3:r*1"}`, ownedKey, "3", "", []byte("x")},     // clean adoption, clean owned push
+		{`{"map":"v1:8:3"}`, otherKey, "3", "", []byte("y")},         // stale map, wrong-shard push
+		{`{"map":"v9:4:3"}`, ownedKey, "99", "v99:8:3", []byte("z")}, // shape change, piggybacked catch-up
+		{`{"map":"v1073741825:8:3"}`, ownedKey, "-1", "vX", nil},     // version overflow, hostile headers
 		{`not json`, "../../etc/passwd", "v3", "not-a-map", []byte{0}},
 		{`{"map":"v4:8:3:` + strings.Repeat("0,", 255) + `0"}`, strings.Repeat("f", 64), "4", "v4:8:3", []byte("w")},
 		{`{"map":""}`, strings.Repeat("F", 64), "3", "", bytes.Repeat([]byte("A"), 256)},

@@ -42,11 +42,10 @@ func TestRecoveryEndToEnd(t *testing.T) {
 
 func durableOpts(dir string) Options {
 	return Options{
-		DataDir:         dir,
-		Workers:         1,
-		DefaultTimeout:  time.Minute,
-		MaxTimeout:      time.Minute,
-		CheckpointEvery: time.Hour, // scenarios checkpoint implicitly at open
+		DataDir:        dir,
+		Workers:        1,
+		DefaultTimeout: time.Minute,
+		MaxTimeout:     time.Minute,
 	}
 }
 

@@ -52,7 +52,6 @@ import (
 	"wavemin/internal/rescache"
 	"wavemin/internal/shard"
 	"wavemin/internal/wal"
-	"wavemin/internal/zonecache"
 )
 
 // Options configures a Server. Zero values take the defaults noted.
@@ -63,8 +62,6 @@ type Options struct {
 	CacheMaxEntries  int           // result cache entry bound (default 4096)
 	DefaultTimeout   time.Duration // per-job deadline when the request names none (default 30s)
 	MaxTimeout       time.Duration // per-job deadline ceiling (default 2m)
-	MaxRequestBytes  int64         // request body bound (default 8 MiB)
-	MaxJobs          int           // finished job records retained (default 4096)
 	MaxSolverWorkers int           // cap on per-job solver parallelism (0 = uncapped)
 	Debug            bool          // mount /debug/vars and /debug/pprof
 	// Dispatch, when non-nil, runs the server as a dispatch coordinator:
@@ -91,9 +88,6 @@ type Options struct {
 	// replay hits mid-journal corruption (quarantining the corrupt
 	// segment) instead of refusing to start.
 	RecoverBestEffort bool
-	// CheckpointEvery is how often the journal is compacted to a
-	// snapshot of the live backlog (default 30s).
-	CheckpointEvery time.Duration
 	// StoreMaxBytes bounds the persistent result store (default 256 MiB);
 	// least-recently-used results are evicted.
 	StoreMaxBytes int64
@@ -119,12 +113,6 @@ type Options struct {
 	ShardMap *shard.Map
 	ShardID  int
 	Peers    []string
-	// MaxForwardInFlight bounds concurrent forwards to peers (default
-	// 128); past it, submissions get 503 forward_backpressure.
-	MaxForwardInFlight int
-	// PeerTimeout bounds each peer call — forwarded requests and cache
-	// read-throughs alike (default 15s).
-	PeerTimeout time.Duration
 	// GossipInterval is the anti-entropy cadence: how often this node
 	// pulls each peer's shard map (GET /v1/shard/map) and adopts anything
 	// newer. Zero disables the loop — version piggybacking on forwards
@@ -162,15 +150,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxTimeout == 0 {
 		o.MaxTimeout = 2 * time.Minute
 	}
-	if o.MaxRequestBytes == 0 {
-		o.MaxRequestBytes = 8 << 20
-	}
-	if o.MaxJobs == 0 {
-		o.MaxJobs = 4096
-	}
-	if o.CheckpointEvery == 0 {
-		o.CheckpointEvery = 30 * time.Second
-	}
 	if o.StoreMaxBytes == 0 {
 		o.StoreMaxBytes = 256 << 20
 	}
@@ -180,17 +159,18 @@ func (o Options) withDefaults() Options {
 	if o.ZoneStoreMaxBytes == 0 {
 		o.ZoneStoreMaxBytes = 64 << 20
 	}
-	if o.MaxForwardInFlight == 0 {
-		o.MaxForwardInFlight = 128
-	}
-	if o.PeerTimeout == 0 {
-		o.PeerTimeout = 15 * time.Second
-	}
 	if o.YieldMaxConcurrent == 0 {
 		o.YieldMaxConcurrent = 2
 	}
 	return o
 }
+
+// Fixed service bounds.
+const (
+	maxRequestBytes = 8 << 20          // request body bound
+	maxJobs         = 4096             // job records retained (finished ones evicted first)
+	checkpointEvery = 30 * time.Second // journal compaction cadence
+)
 
 // Job statuses on the wire.
 const (
@@ -339,7 +319,7 @@ type Server struct {
 	yieldSem     chan struct{}
 	yieldPending atomic.Int64
 
-	zones *zonecache.Cache // non-nil iff Options.Eco was set
+	zones *rescache.Tiered // zone-solution tier; non-nil iff Options.Eco was set
 
 	sh *shardState // non-nil iff Options.ShardMap was set
 
@@ -350,7 +330,8 @@ type Server struct {
 	gossipWG       sync.WaitGroup
 
 	// Durable tier; all nil/zero when Options.DataDir is unset.
-	store      *castore.Store
+	store      *castore.Store // backs cache
+	zoneStore  *castore.Store // backs zones (Options.Eco only)
 	wal        *wal.Writer
 	recovery   RecoveryInfo
 	ckStop     chan struct{}
@@ -394,48 +375,60 @@ func New(opts Options) (*Server, error) {
 	if opts.Dispatch != nil {
 		dopts = *opts.Dispatch
 	}
-	if dopts.SolverWorkers == 0 {
-		dopts.SolverWorkers = opts.MaxSolverWorkers
-	}
 	if s.sh != nil && dopts.ShardLabel == "" {
 		// The label names the map epoch too, and follows every
 		// adoption (Coordinator.SetShardLabel in adoptMap).
 		dopts.ShardLabel = shardLabel(s.sh.id, s.sh.Map().Version)
 	}
 
-	var backing rescache.Backing
-	var recovered []jobq.RecoveredJob
-	var lastID uint64
-	syncWrites := false
+	pol := wal.SyncNone
+	var err error
 	if opts.DataDir != "" {
-		pol, err := wal.ParseSyncPolicy(opts.Fsync)
-		if err != nil {
+		if pol, err = wal.ParseSyncPolicy(opts.Fsync); err != nil {
 			return nil, fmt.Errorf("server: %w", err)
 		}
-		syncWrites = pol != wal.SyncNone
-		store, err := castore.Open(filepath.Join(opts.DataDir, "store"), castore.Options{
-			MaxBytes: opts.StoreMaxBytes,
-			Sync:     syncWrites,
-		})
+	}
+	syncWrites := pol != wal.SyncNone
+	s.cache, s.store, err = openTier(opts.DataDir, "store",
+		rescache.New(opts.CacheMaxBytes, opts.CacheMaxEntries),
+		castore.Options{MaxBytes: opts.StoreMaxBytes, Sync: syncWrites})
+	if err != nil {
+		return nil, fmt.Errorf("server: result store: %w", err)
+	}
+	if opts.Eco {
+		s.zones, s.zoneStore, err = openTier(opts.DataDir, "zones",
+			rescache.New(opts.ZoneCacheMaxBytes, 0),
+			castore.Options{MaxBytes: opts.ZoneStoreMaxBytes, Sync: syncWrites})
 		if err != nil {
-			return nil, fmt.Errorf("server: result store: %w", err)
+			s.closeStores(false)
+			return nil, fmt.Errorf("server: zone store: %w", err)
 		}
-		s.store = store
-		backing = store
+	}
+	if s.sh != nil {
+		// Fleet read-through: local misses consult the key's owning
+		// coordinator before falling back to a local solve.
+		s.cache.SetPeer(&peerCacheTier{sh: s.sh, path: "/v1/shard/cache/"})
+		if s.zones != nil {
+			s.zones.SetPeer(&peerCacheTier{sh: s.sh, path: "/v1/shard/zones/"})
+		}
+	}
 
+	var recovered []jobq.RecoveredJob
+	var lastID uint64
+	if opts.DataDir != "" {
 		replayer := jobq.NewReplayer(decodeSpecPayload)
 		w, rep, err := wal.Open(filepath.Join(opts.DataDir, "journal"), wal.Options{
 			Sync:       pol,
 			BestEffort: opts.RecoverBestEffort,
 		}, replayer.Apply)
 		if err != nil {
-			store.Close()
+			s.closeStores(false)
 			return nil, fmt.Errorf("server: journal: %w", err)
 		}
 		recovered, err = replayer.Jobs()
 		if err != nil {
 			w.Abort()
-			store.Close()
+			s.closeStores(false)
 			return nil, fmt.Errorf("server: %w", err)
 		}
 		s.wal = w
@@ -453,35 +446,7 @@ func New(opts Options) (*Server, error) {
 		s.q.AttachJournal(w, jobq.PayloadCodec{Encode: encodeSpecPayload, Decode: decodeSpecPayload})
 		// Durable-before-ack: completions reach the store before the
 		// queue (and its journal) learn the job completed.
-		dopts.PersistResult = store.Put
-	}
-	s.cache = rescache.NewTiered(rescache.New(opts.CacheMaxBytes, opts.CacheMaxEntries), backing)
-	if s.sh != nil {
-		// Fleet read-through: local result-cache misses consult the key's
-		// owning coordinator before falling back to a local solve.
-		s.cache.SetPeer(&peerCacheTier{sh: s.sh, path: "/v1/shard/cache/"})
-	}
-
-	if opts.Eco {
-		if opts.DataDir != "" {
-			z, err := zonecache.Open(filepath.Join(opts.DataDir, "zones"),
-				opts.ZoneCacheMaxBytes, opts.ZoneStoreMaxBytes, syncWrites)
-			if err != nil {
-				if s.wal != nil {
-					s.wal.Abort()
-				}
-				if s.store != nil {
-					s.store.Close()
-				}
-				return nil, fmt.Errorf("server: zone store: %w", err)
-			}
-			s.zones = z
-		} else {
-			s.zones = zonecache.New(opts.ZoneCacheMaxBytes, 0)
-		}
-		if s.sh != nil {
-			s.zones.SetPeer(&peerCacheTier{sh: s.sh, path: "/v1/shard/zones/"})
-		}
+		dopts.PersistResult = s.store.Put
 	}
 
 	s.coord = dispatch.NewCoordinator(s.q, dopts)
@@ -497,10 +462,10 @@ func New(opts Options) (*Server, error) {
 	if s.sh != nil {
 		mux.HandleFunc("GET /v1/shard/map", s.handleShardMap)
 		mux.HandleFunc("POST /v1/shard/map", s.handleShardMapPost)
-		mux.HandleFunc("GET /v1/shard/cache/{key}", s.handleShardCache)
-		mux.HandleFunc("PUT /v1/shard/cache/{key}", s.handleShardCachePut)
-		mux.HandleFunc("GET /v1/shard/zones/{key}", s.handleShardZones)
-		mux.HandleFunc("PUT /v1/shard/zones/{key}", s.handleShardZonesPut)
+		mux.HandleFunc("GET /v1/shard/cache/{key}", s.handleShardLookup(s.cache))
+		mux.HandleFunc("PUT /v1/shard/cache/{key}", s.handleShardPut(s.cache))
+		mux.HandleFunc("GET /v1/shard/zones/{key}", s.handleShardLookup(s.zones))
+		mux.HandleFunc("PUT /v1/shard/zones/{key}", s.handleShardPut(s.zones))
 	}
 	if opts.Debug {
 		// The blank expvar and pprof imports register on the default
@@ -523,7 +488,7 @@ func New(opts Options) (*Server, error) {
 	if s.wal != nil {
 		if err := s.restoreJobs(recovered, lastID); err != nil {
 			s.wal.Abort()
-			s.store.Close()
+			s.closeStores(false)
 			return nil, err
 		}
 		// Compact the replayed history into one checkpoint so the next
@@ -642,7 +607,7 @@ func parseJobID(id string, n *int64) error {
 // proportional to the live backlog, not to total history.
 func (s *Server) checkpointLoop() {
 	defer s.ckWG.Done()
-	tick := time.NewTicker(s.opts.CheckpointEvery)
+	tick := time.NewTicker(checkpointEvery)
 	defer tick.Stop()
 	for {
 		select {
@@ -676,10 +641,7 @@ func (s *Server) Crash() {
 	if s.wal != nil {
 		s.wal.Abort()
 	}
-	if s.store != nil {
-		s.store.Abort()
-	}
-	s.zones.Abort()
+	s.closeStores(true)
 }
 
 // Recovery reports what startup replay found.
@@ -717,13 +679,42 @@ func (s *Server) Drain(ctx context.Context) error {
 			err = cerr
 		}
 	}
-	if s.store != nil {
-		if cerr := s.store.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	if cerr := s.zones.Close(); cerr != nil && err == nil {
+	if cerr := s.closeStores(false); cerr != nil && err == nil {
 		err = cerr
+	}
+	return err
+}
+
+// openTier builds one read-through tier — results or zone solutions —
+// as mem over a castore under dataDir/name, or mem alone when the server
+// has no DataDir. The store is returned too: closeStores closes or
+// abandons it.
+func openTier(dataDir, name string, mem *rescache.Cache, o castore.Options) (*rescache.Tiered, *castore.Store, error) {
+	if dataDir == "" {
+		return rescache.NewTiered(mem, nil), nil, nil
+	}
+	store, err := castore.Open(filepath.Join(dataDir, name), o)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rescache.NewTiered(mem, store), store, nil
+}
+
+// closeStores closes the durable tiers openTier opened — or, on the
+// crash path (abort), abandons them without flushing, leaving disk
+// exactly as a power failure would.
+func (s *Server) closeStores(abort bool) error {
+	var err error
+	for _, st := range []*castore.Store{s.store, s.zoneStore} {
+		switch {
+		case st == nil:
+		case abort:
+			st.Abort()
+		default:
+			if cerr := st.Close(); cerr != nil && err == nil {
+				err = cerr
+			}
+		}
 	}
 	return err
 }
@@ -779,7 +770,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.rejectDraining(w)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxRequestBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -1171,11 +1162,13 @@ func (s *Server) removeJob(id string) {
 	s.mu.Unlock()
 }
 
-// evictJobsLocked drops the oldest FINISHED job records beyond MaxJobs, so
-// the registry cannot grow without bound while never forgetting a live
-// job. Caller holds s.mu.
+// evictJobsLocked drops the oldest FINISHED job records beyond maxJobs,
+// so the registry cannot grow without bound while never forgetting a
+// live job. The guard counts s.order, not s.jobs: removeJob (a refused
+// submission) deletes only the record, and the compaction below is what
+// drops its ID. Caller holds s.mu.
 func (s *Server) evictJobsLocked() {
-	if len(s.jobs) <= s.opts.MaxJobs {
+	if len(s.order) <= maxJobs {
 		return
 	}
 	kept := s.order[:0]
@@ -1184,7 +1177,7 @@ func (s *Server) evictJobsLocked() {
 		if !ok {
 			continue
 		}
-		if len(s.jobs) > s.opts.MaxJobs {
+		if len(s.jobs) > maxJobs {
 			j.mu.Lock()
 			finished := j.status == StatusDone || j.status == StatusFailed || j.status == StatusExpired
 			j.mu.Unlock()

@@ -40,7 +40,7 @@ package server
 //     byte-identical to the owner's, so failover is never-wrong, only
 //     possibly a miss.
 //
-// In-flight forwards are bounded (Options.MaxForwardInFlight); past the
+// In-flight forwards are bounded (maxForwardInFlight); past the
 // bound, submissions are refused with 503 forward_backpressure so a
 // slow peer cannot pile unbounded goroutines onto its neighbors.
 
@@ -56,6 +56,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"wavemin/internal/obs"
 	"wavemin/internal/rescache"
@@ -86,6 +87,14 @@ const maxPeerResponseBytes = 64 << 20
 // largest legal map — 64k buckets of explicit assignments and replica
 // sets — fits comfortably; anything bigger is hostile.
 const maxShardMapBytes = 1 << 20
+
+// maxForwardInFlight bounds concurrent forwards and cache read-throughs
+// to peers; past it, submissions get 503 forward_backpressure.
+const maxForwardInFlight = 128
+
+// peerTimeout bounds each peer call — forwarded requests, cache
+// read-throughs and pushes alike.
+const peerTimeout = 15 * time.Second
 
 // shardUnavailableRetrySeconds is the Retry-After hint on 503
 // shard_unavailable: long enough for a restart to come back, short
@@ -195,8 +204,8 @@ func newShardState(opts Options) (*shardState, error) {
 	sh := &shardState{
 		id:     opts.ShardID,
 		peers:  peers,
-		client: &http.Client{Timeout: opts.PeerTimeout},
-		slots:  make(chan struct{}, opts.MaxForwardInFlight),
+		client: &http.Client{Timeout: peerTimeout},
+		slots:  make(chan struct{}, maxForwardInFlight),
 		vars:   obs.ExpvarShard(opts.ShardID),
 	}
 	// The boot map is cloned so a caller mutating its copy (tests build
@@ -599,39 +608,37 @@ func validCacheKey(key string) bool {
 	return true
 }
 
-// handleShardCache answers a peer's read-through lookup against this
-// node's LOCAL result-cache tiers only (consulting its own peer tier
-// here would bounce misses around the fleet). 200 + bytes on hit,
-// structured 404 on miss, 400 on a malformed key.
-func (s *Server) handleShardCache(w http.ResponseWriter, r *http.Request) {
-	s.servePeerLookup(w, r, func(key string) ([]byte, bool) { return s.cache.GetLocal(key) })
-}
-
-// handleShardZones is handleShardCache for the zone-solution cache.
-func (s *Server) handleShardZones(w http.ResponseWriter, r *http.Request) {
-	s.servePeerLookup(w, r, func(key string) ([]byte, bool) { return s.zones.GetLocal(key) })
-}
-
-func (s *Server) servePeerLookup(w http.ResponseWriter, r *http.Request, get func(string) ([]byte, bool)) {
-	sh := s.sh
-	key := r.PathValue("key")
-	if !validCacheKey(key) {
-		writeAPIError(w, &apiError{status: http.StatusBadRequest, code: "bad_key",
-			message: "cache keys are 64-character lowercase-hex digests"})
-		return
+// handleShardLookup answers a peer's read-through lookup against the
+// LOCAL levels of t — the result tier or the zone tier — only
+// (consulting t's own peer level here would bounce misses around the
+// fleet). 200 + bytes on hit, structured 404 on miss, 400 on a malformed
+// key. A nil t (the zone tier of an ECO-off node) always misses.
+func (s *Server) handleShardLookup(t *rescache.Tiered) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		sh := s.sh
+		key := r.PathValue("key")
+		if !validCacheKey(key) {
+			writeAPIError(w, &apiError{status: http.StatusBadRequest, code: "bad_key",
+				message: "cache keys are 64-character lowercase-hex digests"})
+			return
+		}
+		var val []byte
+		ok := false
+		if t != nil {
+			val, ok = t.GetLocal(key)
+		}
+		if !ok {
+			sh.bump(&sh.peerServeMisses, "peer_serve_misses")
+			writeAPIError(w, &apiError{status: http.StatusNotFound, code: "cache_miss",
+				message: "key not cached on this node"})
+			return
+		}
+		sh.bump(&sh.peerServeHits, "peer_serve_hits")
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set(headerServedByShard, strconv.Itoa(sh.id))
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(val)
 	}
-	val, ok := get(key)
-	if !ok {
-		sh.bump(&sh.peerServeMisses, "peer_serve_misses")
-		writeAPIError(w, &apiError{status: http.StatusNotFound, code: "cache_miss",
-			message: "key not cached on this node"})
-		return
-	}
-	sh.bump(&sh.peerServeHits, "peer_serve_hits")
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(headerServedByShard, strconv.Itoa(sh.id))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(val)
 }
 
 // fetchCached performs one peer cache lookup against target's local

@@ -28,7 +28,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"wavemin/internal/shard"
 )
@@ -39,10 +38,10 @@ func FuzzShardRoute(f *testing.F) {
 		f.Fatal(err)
 	}
 	// Peer URLs are black holes: forwards never dial them (single hop),
-	// and the catch-up fetches that do must fail closed into 4xx. The
-	// short PeerTimeout keeps those failures immediate.
+	// and the catch-up fetches that do must fail closed into 4xx (port 1
+	// refuses the dial at once).
 	dead := []string{"http://127.0.0.1:1", "http://127.0.0.1:1", "http://127.0.0.1:1"}
-	srv, err := New(Options{ShardMap: m, ShardID: 0, Peers: dead, PeerTimeout: 200 * time.Millisecond})
+	srv, err := New(Options{ShardMap: m, ShardID: 0, Peers: dead})
 	if err != nil {
 		f.Fatal(err)
 	}

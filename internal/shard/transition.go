@@ -69,30 +69,6 @@ func (m *Map) MoveBucket(bucket, newOwner int) (*Map, error) {
 	return out, nil
 }
 
-// SetBucketReplicas returns the successor of m (Version+1) in which
-// bucket's reader set is exactly replicas.
-func (m *Map) SetBucketReplicas(bucket int, replicas []int) (*Map, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	if bucket < 0 || bucket >= len(m.Assign) {
-		return nil, fmt.Errorf("shard: bucket %d outside 0..%d", bucket, len(m.Assign)-1)
-	}
-	out := m.Clone()
-	out.Version++
-	if out.Replicas == nil {
-		out.Replicas = make([][]int, len(out.Assign))
-		for b := range out.Replicas {
-			out.Replicas[b] = []int{}
-		}
-	}
-	out.Replicas[bucket] = append([]int{}, replicas...)
-	if err := out.Validate(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Diff reports how two same-shape maps differ: the buckets whose owner
 // changed and the buckets whose replica set changed. Shape disagreement
 // (PrefixBits or Shards) is an error — such maps are not comparable.

@@ -98,14 +98,6 @@ func (s *ChunkStats) Validate(spec *ChunkSpec) error {
 	return nil
 }
 
-// sampleSeed derives the RNG seed of one Monte Carlo sample from the run
-// seed, the candidate, and the global sample index — two splitmix64-style
-// mixes, so the stream is independent of chunk boundaries, worker
-// placement, and retry schedules.
-func sampleSeed(seed int64, candidate, sample int) int64 {
-	return variation.InstanceSeed(variation.InstanceSeed(seed, candidate), sample)
-}
-
 // EvaluateChunk runs one chunk's samples over an already-parsed tree and
 // returns the deterministic aggregate. One Scratch serves the whole
 // chunk, so the per-sample cost is the timing/current evaluation alone —
@@ -120,6 +112,8 @@ func EvaluateChunk(ctx context.Context, tree *clocktree.Tree, spec *ChunkSpec) (
 	}
 	sc := variation.NewScratch(tree)
 	rng := rand.New(rand.NewSource(1))
+	// Seeding by (seed, candidate, global index) keeps each sample's draw
+	// independent of chunk boundaries, placement and retries.
 	candSeed := variation.InstanceSeed(spec.Seed, spec.Candidate)
 	st := &ChunkStats{Candidate: spec.Candidate, Index: spec.Index, N: spec.N}
 	for i := 0; i < spec.N; i++ {

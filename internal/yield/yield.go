@@ -95,18 +95,16 @@ type Params struct {
 }
 
 // WithDefaults returns p with zero-valued knobs replaced by the defaults.
-// Kappa has no default here — the server injects the optimization κ.
+// Kappa has no default here — the server injects the optimization κ —
+// and neither has Epsilon: 0 is meaningful (disable the width stop), so
+// the server's decode layer injects DefaultEpsilon only when the field
+// is absent.
 func (p Params) WithDefaults() Params {
 	if p.Sigma == 0 {
 		p.Sigma = DefaultSigma
 	}
 	if p.Samples == 0 {
 		p.Samples = DefaultSamples
-	}
-	if p.Epsilon == 0 {
-		// Epsilon 0 is meaningful (disable the width stop), so the
-		// default is injected by the server's decode layer, not here.
-		p.Epsilon = 0
 	}
 	if p.Confidence == 0 {
 		p.Confidence = DefaultConfidence

@@ -1,23 +1,26 @@
-// Package zonecache is the per-zone MOSP solution cache behind ECO mode.
+// Package zonecache is the per-zone MOSP solution format behind ECO mode.
 //
 // The whole-design result cache (Design.CacheKey → result bytes) can only
 // replay a request that is byte-for-byte the same problem. Real clock-tree
 // work arrives as deltas — one leaf resized, one zone nudged — and the
 // paper's Observation 4 (per-leaf delay independence, additive noise)
-// means a delta invalidates only the zones it touches. This package
-// stores each (skew interval × placement zone) solver outcome under a
-// canonical content key (internal/polarity computes the keys, versioned
+// means a delta invalidates only the zones it touches. Each (skew
+// interval × placement zone) solver outcome is therefore a Solution under
+// a canonical content key (internal/polarity computes the keys, versioned
 // by KeyFormat), so an incremental re-optimization replays every
 // unchanged zone and pays the solver only for the delta.
 //
-// Storage composes the existing tiers: an in-memory LRU
-// (internal/rescache) optionally backed by the persistent
-// content-addressed store (internal/castore), so zone solutions survive
-// coordinator restarts and a recovered coordinator still answers a delta
-// from disk. Replayed solutions are bitwise-safe by construction: the key
-// covers every input the solver sees, and the solver itself is
-// deterministic, so key equality implies the cold solve would have
-// produced exactly the cached picks.
+// This package owns the Solution encoding and the per-run Session: the
+// seeded base solutions a run replays, and the record of every solution
+// it replayed or produced. Storage is not its concern — a zone solution
+// is just another content-addressed blob, so the service keeps them in a
+// plain rescache.Tiered (durable over its own castore under
+// DataDir/zones), seeds each delta run from the base job's recorded
+// keys, and lands every clean run's record back into that tier.
+// Replayed solutions are bitwise-safe by construction: the key covers
+// every input the solver sees, and the solver itself is deterministic,
+// so key equality implies the cold solve would have produced exactly the
+// recorded picks.
 package zonecache
 
 import (
@@ -25,7 +28,6 @@ import (
 	"fmt"
 	"sync"
 
-	"wavemin/internal/castore"
 	"wavemin/internal/rescache"
 )
 
@@ -79,122 +81,22 @@ func Decode(b []byte) (*Solution, error) {
 	return &s, nil
 }
 
-// Cache is the shared zone-solution store: an in-memory LRU, optionally
-// write-through to a durable castore so solutions survive restarts.
-type Cache struct {
-	tier *rescache.Tiered
-	disk *castore.Store // nil when memory-only
+// New builds a memory-only zone-solution tier bounded by bytes and entry
+// count.
+func New(maxBytes int64, maxEntries int) *rescache.Tiered {
+	return rescache.NewTiered(rescache.New(maxBytes, maxEntries), nil)
 }
 
-// New builds a memory-only cache bounded by bytes and entry count.
-func New(maxBytes int64, maxEntries int) *Cache {
-	return &Cache{tier: rescache.NewTiered(rescache.New(maxBytes, maxEntries), nil)}
-}
-
-// Open builds a durable cache at dir (castore framing, CRC-checked,
-// LRU-evicted at diskMaxBytes) fronted by a memory LRU.
-func Open(dir string, memMaxBytes, diskMaxBytes int64, sync bool) (*Cache, error) {
-	disk, err := castore.Open(dir, castore.Options{MaxBytes: diskMaxBytes, Sync: sync})
-	if err != nil {
-		return nil, err
-	}
-	return &Cache{
-		tier: rescache.NewTiered(rescache.New(memMaxBytes, 0), disk),
-		disk: disk,
-	}, nil
-}
-
-// SetPeer attaches a fleet read-through tier: zone solutions not held
-// locally are fetched from the key's owning coordinator. Peer errors
-// degrade to misses (the zone is re-solved) and peer hits are promoted
-// to memory only — the durable tier stays shard-pure.
-func (c *Cache) SetPeer(p rescache.PeerTier) {
-	if c != nil {
-		c.tier.SetPeer(p)
-	}
-}
-
-// Get returns the stored bytes for key, if present in any tier
-// (memory, durable, or — when attached — the owning peer).
-func (c *Cache) Get(key string) ([]byte, bool) {
-	if c == nil {
-		return nil, false
-	}
-	return c.tier.Get(key)
-}
-
-// GetLocal returns the stored bytes for key from this node's own tiers
-// only — the lookup that answers a peer's read-through request.
-func (c *Cache) GetLocal(key string) ([]byte, bool) {
-	if c == nil {
-		return nil, false
-	}
-	return c.tier.GetLocal(key)
-}
-
-// LocalKeys snapshots the memory tier's resident zone keys — what a
-// bucket handoff enumerates when draining to a new owner.
-func (c *Cache) LocalKeys() []string {
-	if c == nil {
-		return nil
-	}
-	return c.tier.LocalKeys()
-}
-
-// PutLocal stores val in the memory tier only — the write a replica
-// performs for a pushed copy it does not own, keeping its durable tier
-// shard-pure.
-func (c *Cache) PutLocal(key string, val []byte) {
-	if c == nil {
-		return
-	}
-	c.tier.PutLocal(key, val)
-}
-
-// Put stores val under key in both tiers.
-func (c *Cache) Put(key string, val []byte) {
-	if c == nil {
-		return
-	}
-	c.tier.Put(key, val)
-}
-
-// Stats reports both tiers' counters.
-func (c *Cache) Stats() rescache.TieredStats {
-	if c == nil {
-		return rescache.TieredStats{}
-	}
-	return c.tier.Stats()
-}
-
-// Close releases the durable tier, if any.
-func (c *Cache) Close() error {
-	if c == nil || c.disk == nil {
-		return nil
-	}
-	return c.disk.Close()
-}
-
-// Abort abandons the durable tier without flushing — the crash-simulation
-// path: disk is left exactly as a power failure would leave it.
-func (c *Cache) Abort() {
-	if c != nil && c.disk != nil {
-		c.disk.Abort()
-	}
-}
-
-// Session is one optimization run's view of the cache: it layers a seeded
-// base-solution map (shipped with dispatched delta jobs, whose workers do
-// not share the coordinator's cache) over the shared cache, records every
-// solution the run touched so the job registry can chain deltas off it,
-// and answers warm-start capacity hints for zones whose content changed.
+// Session is one optimization run's view of the zone solutions: a seeded
+// base-solution map (a delta job's spec ships it, so local and remote
+// executors replay alike), a record of every solution the run touched so
+// the job registry can chain deltas off it, and warm-start capacity hints
+// for zones whose content changed.
 //
 // A nil *Session is valid and always misses, so solver code can thread it
 // unconditionally. All methods are safe for concurrent use — the solver
 // fan-out looks up and stores from its worker pool.
 type Session struct {
-	cache *Cache // may be nil (remote worker: seeds only)
-
 	mu   sync.Mutex
 	seed map[string]seedEntry // base solutions by zone key, decoded once
 	used map[string][]byte    // every solution this run replayed or produced
@@ -212,9 +114,9 @@ type seedEntry struct {
 
 type warmHint struct{ labels, frontier int }
 
-// NewSession starts a run view over cache (which may be nil).
-func NewSession(cache *Cache) *Session {
-	return &Session{cache: cache, seed: map[string]seedEntry{}, used: map[string][]byte{}, warm: map[[2]int]warmHint{}}
+// NewSession starts an empty run view.
+func NewSession() *Session {
+	return &Session{seed: map[string]seedEntry{}, used: map[string][]byte{}, warm: map[[2]int]warmHint{}}
 }
 
 // Seed loads base-run solutions (zone key → encoded Solution). Malformed
@@ -247,39 +149,26 @@ func (s *Session) noteWarmLocked(sol *Solution) {
 	s.warm[sol.Zone] = h
 }
 
-// Lookup returns the solution stored under key, checking the seeded base
-// map first and the shared cache second, and records the use. The
-// returned Solution is shared between callers and must not be mutated —
-// the replay path only reads it.
+// Lookup returns the seeded solution stored under key and records the
+// use. The returned Solution is shared between callers and must not be
+// mutated — the replay path only reads it.
 func (s *Session) Lookup(key string) (*Solution, bool) {
 	if s == nil {
 		return nil, false
 	}
 	s.mu.Lock()
-	if e, ok := s.seed[key]; ok {
-		// Seed bytes are session-owned; record the reference, skip the
-		// copy and the re-decode.
-		s.used[key] = e.raw
-		s.mu.Unlock()
-		return e.sol, true
-	}
-	s.mu.Unlock()
-	raw, ok := s.cache.Get(key)
+	defer s.mu.Unlock()
+	e, ok := s.seed[key]
 	if !ok {
 		return nil, false
 	}
-	sol, err := Decode(raw)
-	if err != nil {
-		return nil, false
-	}
-	s.mu.Lock()
-	s.used[key] = append([]byte(nil), raw...)
-	s.mu.Unlock()
-	return sol, true
+	// Seed bytes are session-owned; record the reference, skip the copy
+	// and the re-decode.
+	s.used[key] = e.raw
+	return e.sol, true
 }
 
-// Store records a freshly solved instance and writes it through to the
-// shared cache (when one is attached).
+// Store records a freshly solved instance.
 func (s *Session) Store(key string, sol *Solution) {
 	if s == nil {
 		return
@@ -288,7 +177,6 @@ func (s *Session) Store(key string, sol *Solution) {
 	s.mu.Lock()
 	s.used[key] = raw
 	s.mu.Unlock()
-	s.cache.Put(key, raw)
 }
 
 // Warm returns capacity hints for a zone that must be re-solved: the

@@ -3,11 +3,8 @@ package zonecache
 import (
 	"bytes"
 	"encoding/json"
-	"path/filepath"
 	"reflect"
 	"testing"
-
-	"wavemin/internal/rescache"
 )
 
 func sol(zone [2]int, picks []int, expanded, frontier int) *Solution {
@@ -66,54 +63,6 @@ func TestMemoryCache(t *testing.T) {
 	if st.Mem.Hits != 1 || st.Mem.Misses != 1 {
 		t.Fatalf("stats %+v, want 1 hit 1 miss", st.Mem)
 	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestNilCacheSafe: a nil *Cache is a valid always-miss cache, so session
-// code can thread it unconditionally.
-func TestNilCacheSafe(t *testing.T) {
-	var c *Cache
-	c.Put("k", []byte("v"))
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("nil cache hit")
-	}
-	if st := c.Stats(); st != (rescache.TieredStats{}) {
-		t.Fatalf("nil stats %+v", st)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	c.Abort()
-}
-
-func TestDurableCacheSurvivesReopen(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "zones")
-	key := "00ab45cdef012345" // castore keys must be >= 8 chars of lowercase hex
-	c, err := Open(dir, 1<<20, 1<<20, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Put(key, []byte("payload"))
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	c2, err := Open(dir, 1<<20, 1<<20, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	got, ok := c2.Get(key)
-	if !ok || string(got) != "payload" {
-		t.Fatalf("after reopen: Get = %q, %v", got, ok)
-	}
-	// The disk hit was promoted into the fresh memory tier.
-	if st := c2.Stats(); st.DiskHits != 1 {
-		t.Fatalf("stats %+v, want 1 disk hit", st)
-	}
-	c2.Abort()
 }
 
 func seedMap(t *testing.T, sols ...*Solution) map[string][]byte {
@@ -126,7 +75,7 @@ func seedMap(t *testing.T, sols ...*Solution) map[string][]byte {
 }
 
 func TestSessionSeedLookupUsed(t *testing.T) {
-	s := NewSession(nil) // remote-worker shape: seeds only, no shared cache
+	s := NewSession()
 	seeds := seedMap(t, sol([2]int{1, 1}, []int{0, 1}, 10, 3))
 	seeds["bad"] = []byte("junk") // malformed seeds are dropped, not fatal
 	s.Seed(seeds)
@@ -140,6 +89,9 @@ func TestSessionSeedLookupUsed(t *testing.T) {
 	}
 	fresh := sol([2]int{2, 2}, []int{4}, 20, 5)
 	s.Store("f", fresh)
+	if _, ok := s.Lookup("f"); ok {
+		t.Fatal("Lookup served a stored solution; only seeds replay")
+	}
 
 	used := s.Used()
 	if len(used) != 2 {
@@ -153,35 +105,11 @@ func TestSessionSeedLookupUsed(t *testing.T) {
 	}
 }
 
-func TestSessionLookupPrefersSeedOverCache(t *testing.T) {
-	c := New(1<<20, 16)
-	c.Put("k", sol([2]int{0, 0}, []int{9}, 1, 1).Encode())
-	s := NewSession(c)
-	s.Seed(map[string][]byte{"k": sol([2]int{0, 0}, []int{5}, 1, 1).Encode()})
-	got, ok := s.Lookup("k")
-	if !ok || got.Picks[0] != 5 {
-		t.Fatalf("Lookup = %+v, %v; want the seeded copy", got, ok)
-	}
-}
-
-func TestSessionStoreWritesThrough(t *testing.T) {
-	c := New(1<<20, 16)
-	s := NewSession(c)
-	s.Store("k", sol([2]int{0, 0}, []int{1}, 2, 2))
-	if _, ok := c.Get("k"); !ok {
-		t.Fatal("Store did not write through to the shared cache")
-	}
-	// A second session over the same cache replays it.
-	if got, ok := NewSession(c).Lookup("k"); !ok || got.Picks[0] != 1 {
-		t.Fatalf("second session Lookup = %+v, %v", got, ok)
-	}
-}
-
 // TestSessionWarmHints: seeds index capacity hints by spatial zone, and
 // the hint is the max over every seed for that zone — hints pre-size
 // arenas, so under-reporting wastes speed while the max is always safe.
 func TestSessionWarmHints(t *testing.T) {
-	s := NewSession(nil)
+	s := NewSession()
 	s.Seed(map[string][]byte{
 		"a": sol([2]int{1, 2}, []int{0}, 10, 3).Encode(),
 		"b": sol([2]int{1, 2}, []int{0}, 25, 2).Encode(),
