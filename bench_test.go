@@ -402,56 +402,6 @@ func resultBytesNoRuntime(b *testing.B, res *Result) []byte {
 	return out
 }
 
-// BenchmarkECOColdVsWarm isolates the warm-start half of ECO: every leaf's
-// load is perturbed, so no zone can replay and every instance re-solves —
-// but the base run's solutions still pre-size the solver arenas by spatial
-// zone. Warm starts are output-neutral capacity hints; the delta here is
-// pure allocation behavior.
-func BenchmarkECOColdVsWarm(b *testing.B) {
-	base, err := Benchmark("s15850")
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	cfg := ecoBenchConfig()
-
-	baseCfg := cfg
-	baseCfg.ECO = &ECOConfig{}
-	baseRes, err := cloneForRun(base).Optimize(ctx, baseCfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	delta := cloneForRun(base)
-	for _, leaf := range delta.Tree.Leaves() {
-		delta.Tree.SetSinkCap(leaf, delta.Tree.Node(leaf).SinkCap+0.2)
-	}
-	warmCfg := cfg
-	warmCfg.ECO = &ECOConfig{BaseZones: baseRes.Zones}
-
-	run := func(b *testing.B, runCfg Config) *Result {
-		var res *Result
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			d := cloneForRun(delta)
-			b.StartTimer()
-			var err error
-			if res, err = d.Optimize(ctx, runCfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return res
-	}
-	b.Run("cold", func(b *testing.B) { run(b, cfg) })
-	b.Run("warm", func(b *testing.B) {
-		res := run(b, warmCfg)
-		if res.ZonesReused != 0 {
-			b.Fatalf("perturbed tree replayed %d zones; the warm bench must re-solve everything", res.ZonesReused)
-		}
-		b.ReportMetric(float64(res.WarmStartLabels), "warmstart-labels")
-	})
-}
-
 // --- Substrate micro-benchmarks --------------------------------------------
 
 func BenchmarkMOSPSolve(b *testing.B) {

@@ -19,12 +19,14 @@
 //   - SolveFast: the paper's ClkWaveMin-f vertex-selection heuristic.
 //   - SolveExhaustive: brute force, the test oracle.
 //
-// The label-expansion hot loop is allocation-free in steady state: cost
-// vectors live in two chunked float arenas that double-buffer across
-// layers, label structs come from a chunked slab (stable addresses, so
-// prev chains survive), and round-key deduplication uses an FNV-1a hash
-// of the quantized coordinates with collision-checked equality instead of
-// a string-keyed map.
+// Memory: cost vectors live in two chunked float arenas that
+// double-buffer across layers, label structs come from a chunked slab
+// (stable addresses, so prev chains survive), and round-key deduplication
+// uses an FNV-1a hash of the quantized coordinates with collision-checked
+// equality instead of a string-keyed map. All of it is one workspace that
+// each solve takes from a sync.Pool and gives back trimmed to about 2 MiB
+// (see workspace), so once the pool is warm a repeated Solve allocates
+// only its result, the greedy incumbent and a few sort closures.
 package mosp
 
 import (
@@ -32,6 +34,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"wavemin/internal/faultinject"
 	"wavemin/internal/obs"
@@ -354,7 +357,7 @@ func SolveExhaustive(g *Graph) (Solution, error) {
 
 // label is a partial path in the Pareto DP. Label structs are slab
 // allocated (stable addresses) and their cost slices point into the
-// expander's float arenas.
+// workspace's float arenas.
 type label struct {
 	cost  []float64 // exact, baseline included
 	max   float64   // max over cost
@@ -372,51 +375,27 @@ type Options struct {
 	// valve. When hit, the labels with the smallest current max survive;
 	// the ε guarantee then degrades gracefully. 0 = default.
 	MaxLabels int
-	// WarmLabels / WarmFrontier are warm-start capacity hints from a prior
-	// solve of a similar instance (ECO mode): expected label expansions and
-	// final frontier size. They pre-size the label slab, the per-layer
-	// frontier slice, and the dedup map — and do nothing else. No pruning
-	// bound, tie-break, or cap depends on them, so the solution (and every
-	// result byte derived from it) is identical with or without hints; a
-	// stale hint costs memory or speed, never correctness. 0 = cold sizing.
-	WarmLabels   int
-	WarmFrontier int
-	// Info, when non-nil, receives the solve-effort stats a later warm
-	// start feeds back as hints.
-	Info *SolveInfo
-}
-
-// SolveInfo reports how much work a Solve did — the numbers a warm start
-// reuses as capacity hints.
-type SolveInfo struct {
-	Expanded int // labels materialized (post incumbent prune)
-	Frontier int // labels on the final frontier
 }
 
 // DefaultMaxLabels bounds the per-layer Pareto set.
 const DefaultMaxLabels = 50_000
 
+// floatChunkSize is the float arenas' chunk length in float64s (128 KiB);
+// a dimension r above floatChunkSize/4 gets chunks of 4r instead.
+const floatChunkSize = 1 << 14
+
 // floatArena hands out fixed-dimension cost vectors from chunked backing
 // arrays. Chunks are never reallocated, so previously returned slices
 // stay valid until reset; reset recycles all chunks without freeing them.
 type floatArena struct {
-	chunks    [][]float64
-	ci        int // index of the chunk currently being filled
-	chunkSize int
-}
-
-func newFloatArena(r int) *floatArena {
-	size := 1 << 14
-	if size < 4*r {
-		size = 4 * r
-	}
-	return &floatArena{chunkSize: size}
+	chunks [][]float64
+	ci     int // index of the chunk currently being filled
 }
 
 func (a *floatArena) alloc(r int) []float64 {
 	for {
 		if a.ci >= len(a.chunks) {
-			a.chunks = append(a.chunks, make([]float64, 0, a.chunkSize))
+			a.chunks = append(a.chunks, make([]float64, 0, max(floatChunkSize, 4*r)))
 		}
 		c := a.chunks[a.ci]
 		if len(c)+r <= cap(c) {
@@ -444,26 +423,83 @@ func (a *floatArena) reset() {
 
 // labelArena slab-allocates labels in fixed chunks so pointers remain
 // stable (prev chains) while amortizing allocation to one make per chunk.
-// firstChunk, when positive, sizes the initial chunk — the warm-start
-// hint's only effect is fewer chunk allocations.
 type labelArena struct {
-	chunks     [][]label
-	firstChunk int
+	chunks [][]label
+	ci     int // index of the chunk currently being filled
 }
 
 const labelChunkSize = 1024
 
 func (a *labelArena) alloc() *label {
-	if n := len(a.chunks); n == 0 || len(a.chunks[n-1]) == cap(a.chunks[n-1]) {
-		size := labelChunkSize
-		if len(a.chunks) == 0 && a.firstChunk > size {
-			size = a.firstChunk
-		}
-		a.chunks = append(a.chunks, make([]label, 0, size))
+	if a.ci == len(a.chunks) {
+		a.chunks = append(a.chunks, make([]label, 0, labelChunkSize))
 	}
-	c := &a.chunks[len(a.chunks)-1]
+	c := &a.chunks[a.ci]
 	*c = append(*c, label{})
+	if len(*c) == labelChunkSize {
+		a.ci++
+	}
 	return &(*c)[len(*c)-1]
+}
+
+// workspace is everything one Pareto expansion allocates: the two float
+// arenas the layers' cost vectors double-buffer between, the label slab,
+// the frontier and next-layer label slices, and the Warburton dedup map.
+// Solve and ParetoSize take one from workspaces and release it when they
+// return, so back-to-back zone solves reuse the same memory instead of
+// allocating at least 256 KiB of fresh arena chunks each.
+type workspace struct {
+	arenas         [2]floatArena
+	labels         labelArena
+	frontier, next []*label
+	seen           map[uint64]int32
+}
+
+var workspaces = sync.Pool{New: func() any { return new(workspace) }}
+
+// What a pooled workspace keeps between solves: 4 float chunks per arena
+// (1 MiB for both at r ≤ 4096), 8 label chunks (384 KiB), and
+// frontier/next slices of up to 16k labels, with the dedup map, whose
+// entries never outnumber next. Bigger solves allocate the excess.
+const (
+	keepFloatChunks = 4
+	keepLabelChunks = 8
+	keepLabelPtrs   = 1 << 14
+)
+
+// release resets ws, trims it to the caps above and returns it to the
+// pool. The caller must be done with every label the expansion returned.
+// The labels and label pointers ws keeps are zeroed: a label holds a cost
+// slice into a float chunk and a prev pointer into any label chunk, so a
+// stale one would pin the chunks the trim drops.
+func (ws *workspace) release() {
+	for i := range ws.arenas {
+		ws.arenas[i].reset()
+		ws.arenas[i].chunks = keepFirst(ws.arenas[i].chunks, keepFloatChunks)
+	}
+	ws.labels.chunks = keepFirst(ws.labels.chunks, keepLabelChunks)
+	for i, c := range ws.labels.chunks {
+		clear(c)
+		ws.labels.chunks[i] = c[:0]
+	}
+	ws.labels.ci = 0
+	if max(cap(ws.frontier), cap(ws.next)) > keepLabelPtrs {
+		ws.frontier, ws.next, ws.seen = nil, nil, nil
+	} else {
+		clear(ws.frontier[:cap(ws.frontier)])
+		clear(ws.next[:cap(ws.next)])
+	}
+	workspaces.Put(ws)
+}
+
+// keepFirst drops all but the first n chunks, clearing the dropped slots
+// so the backing array stops referencing them.
+func keepFirst[T any](chunks [][]T, n int) [][]T {
+	if len(chunks) > n {
+		clear(chunks[n:])
+		chunks = chunks[:n]
+	}
+	return chunks
 }
 
 // Solve finds the (1+ε)-approximate min–max path via Pareto dynamic
@@ -483,10 +519,8 @@ func Solve(ctx context.Context, g *Graph, opt Options) (Solution, error) {
 	}
 	sp := obs.FromContext(ctx)
 	var st *solveStats
-	if sp != nil || opt.Info != nil {
-		st = &solveStats{}
-	}
 	if sp != nil {
+		st = &solveStats{}
 		sp.Count("mosp.layers", int64(len(g.Layers)))
 	}
 	// Incumbent from the greedy; its value bounds the optimum from above.
@@ -494,19 +528,17 @@ func Solve(ctx context.Context, g *Graph, opt Options) (Solution, error) {
 	if err != nil {
 		return Solution{}, err
 	}
-	frontier, err := expandLayers(ctx, g, opt, greedy.Max, true, st)
-	if sp != nil {
-		st.flush(sp)
-	}
+	ws := workspaces.Get().(*workspace)
+	// Deferred, so the workspace goes back on every path (panics
+	// included) and only after the winning prev chain has been walked.
+	defer ws.release()
+	frontier, err := ws.expand(ctx, g, opt, greedy.Max, true, st)
+	st.flush(sp)
 	if err != nil {
 		return Solution{}, err
 	}
 	if sp != nil {
 		sp.Count("mosp.frontier", int64(len(frontier)))
-	}
-	if opt.Info != nil {
-		opt.Info.Expanded = int(st.expanded)
-		opt.Info.Frontier = len(frontier)
 	}
 	if len(frontier) == 0 {
 		// Numerical corner: everything pruned against UB. The greedy
@@ -529,10 +561,11 @@ func Solve(ctx context.Context, g *Graph, opt Options) (Solution, error) {
 	return g.solutionFor(picks), nil
 }
 
-// expandLayers runs the Pareto label expansion over every layer and
-// returns the dest frontier (nil/empty when everything was pruned against
-// the incumbent upper bound ub). Shared by Solve and paretoCount.
-func expandLayers(ctx context.Context, g *Graph, opt Options, ub float64, sites bool, st *solveStats) ([]*label, error) {
+// expand runs the Pareto label expansion over every layer and returns the
+// dest frontier (nil/empty when everything was pruned against the
+// incumbent upper bound ub). The frontier's labels live in ws. Shared by
+// Solve and ParetoSize.
+func (ws *workspace) expand(ctx context.Context, g *Graph, opt Options, ub float64, sites bool, st *solveStats) ([]*label, error) {
 	r := g.Dim()
 	// Warburton scaling: rounding each coordinate down to a multiple of δ
 	// changes any path's coordinate by < |L|·δ = ε·UB ≤ ε·OPT-scale, so
@@ -542,44 +575,28 @@ func expandLayers(ctx context.Context, g *Graph, opt Options, ub float64, sites 
 		delta = opt.Epsilon * ub / float64(len(g.Layers))
 	}
 
-	// Warm-start capacity hints: strictly pre-sizing. Clamped so a stale
-	// or hostile hint can only waste a bounded allocation, and bounded by
-	// MaxLabels since no frontier outgrows the safety valve by more than
-	// one layer's expansion.
-	const warmClamp = 1 << 18
-	warmLabels := min(opt.WarmLabels, warmClamp)
-	warmFrontier := min(opt.WarmFrontier, min(opt.MaxLabels, warmClamp))
-
-	labels := &labelArena{firstChunk: warmLabels}
 	// Cost vectors double-buffer between two arenas: the current frontier
 	// reads from one while the next layer writes into the other; the swap
 	// recycles the now-dead frontier costs without any per-label GC work.
 	// (Only the costs are recycled — label structs persist for the prev
 	// chains, which no longer need their cost vectors.)
-	arenas := [2]*floatArena{newFloatArena(r), newFloatArena(r)}
 	cur := 0
 
-	base := arenas[cur].alloc(r)
+	base := ws.arenas[cur].alloc(r)
 	n := copy(base, g.Baseline)
 	for i := n; i < r; i++ {
 		base[i] = 0 // arena memory is recycled, not zeroed
 	}
-	start := labels.alloc()
+	start := ws.labels.alloc()
 	*start = label{cost: base, max: maxOf(base), layer: -1, pick: -1}
-	frontier := []*label{start}
-	nextCap := 64
-	if warmFrontier > nextCap {
-		nextCap = warmFrontier
+	frontier, next := append(ws.frontier[:0], start), ws.next[:0]
+	// Hand the (possibly regrown) slices back on every return, so release
+	// sees their true capacity.
+	defer func() { ws.frontier, ws.next = frontier, next }()
+	if delta > 0 && ws.seen == nil {
+		ws.seen = make(map[uint64]int32, 256)
 	}
-	next := make([]*label, 0, nextCap)
-	var seen map[uint64]int32
-	if delta > 0 {
-		seenCap := 256
-		if warmFrontier > seenCap {
-			seenCap = warmFrontier
-		}
-		seen = make(map[uint64]int32, seenCap)
-	}
+	seen := ws.seen
 
 	for li, layer := range g.Layers {
 		if err := ctx.Err(); err != nil {
@@ -588,7 +605,7 @@ func expandLayers(ctx context.Context, g *Graph, opt Options, ub float64, sites 
 		if sites {
 			faultinject.At(faultinject.SiteMospSolveLayer)
 		}
-		nextArena := arenas[1-cur]
+		nextArena := &ws.arenas[1-cur]
 		next = next[:0]
 		if delta > 0 {
 			clear(seen)
@@ -629,7 +646,7 @@ func expandLayers(ctx context.Context, g *Graph, opt Options, ub float64, sites 
 				if st != nil {
 					st.expanded++
 				}
-				nl := labels.alloc()
+				nl := ws.labels.alloc()
 				*nl = label{cost: cost, max: m, layer: int32(li), pick: int32(vi), prev: lb}
 				if delta > 0 {
 					h := hashQuantized(cost, delta)
@@ -674,7 +691,7 @@ func expandLayers(ctx context.Context, g *Graph, opt Options, ub float64, sites 
 			return nil, nil
 		}
 		frontier, next = next, frontier
-		arenas[cur].reset()
+		ws.arenas[cur].reset()
 		cur = 1 - cur
 	}
 	return frontier, nil
@@ -686,19 +703,15 @@ func ParetoSize(g *Graph, opt Options) (int, error) {
 	if err := g.Validate(); err != nil {
 		return 0, err
 	}
-	return paretoCount(g, opt), nil
-}
-
-func paretoCount(g *Graph, opt Options) int {
 	if opt.MaxLabels <= 0 {
 		opt.MaxLabels = DefaultMaxLabels
 	}
 	greedy, _ := SolveGreedy(g)
-	frontier, err := expandLayers(context.Background(), g, opt, greedy.Max, false, nil)
-	if err != nil {
-		return 0
-	}
-	return len(frontier)
+	ws := workspaces.Get().(*workspace)
+	defer ws.release()
+	// A background context never cancels, so expand cannot fail.
+	frontier, _ := ws.expand(context.Background(), g, opt, greedy.Max, false, nil)
+	return len(frontier), nil
 }
 
 func maxOf(v []float64) float64 {

@@ -168,7 +168,7 @@ func TestSolveFastMatchesReference(t *testing.T) {
 // TestFloatArenaStableSlices: slices handed out before a chunk fills must
 // stay valid and disjoint as more allocations arrive.
 func TestFloatArenaStableSlices(t *testing.T) {
-	a := newFloatArena(4)
+	a := &floatArena{}
 	var slices [][]float64
 	for i := 0; i < 10_000; i++ {
 		s := a.alloc(4)
@@ -193,7 +193,7 @@ func TestFloatArenaStableSlices(t *testing.T) {
 
 // TestFloatArenaUnalloc: LIFO unalloc reuses the same backing region.
 func TestFloatArenaUnalloc(t *testing.T) {
-	a := newFloatArena(8)
+	a := &floatArena{}
 	s1 := a.alloc(8)
 	a.unalloc(8)
 	s2 := a.alloc(8)

@@ -102,11 +102,16 @@ func BuildZoneInstance(
 }
 
 // vector samples a per-group waveform selector over all groups and
-// concatenates — the noise vector of the MOSP formulation.
+// concatenates — the noise vector of the MOSP formulation. Sample times
+// ascend within a group (HotSpots sorts them), so a cursor reads each
+// waveform with exactly At's values.
 func (zi *ZoneInstance) vector(sel func(Group) waveform.Waveform) []float64 {
-	var out []float64
+	out := make([]float64, 0, zi.Dim())
 	for g := Group(0); g < NumGroups; g++ {
-		out = append(out, zi.Samples[g].Vector(sel(g))...)
+		cur := sel(g).Cursor()
+		for _, t := range zi.Samples[g].Times {
+			out = append(out, cur.At(t))
+		}
 	}
 	return out
 }

@@ -97,11 +97,10 @@ type Result struct {
 	IntervalsTried int
 	SkewEstimate   float64 // candidate-model skew of the assignment, ps
 	// ECO-mode accounting (zero unless Config.Zones was attached):
-	// instances replayed from seeded solutions, instances actually solved,
-	// and warm-start labels seeded into re-solved instances.
-	ZonesReused    int
-	ZonesResolved  int
-	WarmStartLabel int
+	// instances replayed from seeded solutions and instances actually
+	// solved.
+	ZonesReused   int
+	ZonesResolved int
 }
 
 // Optimize runs the full single-mode flow of Fig. 8 and returns the best
@@ -221,24 +220,21 @@ func Optimize(ctx context.Context, t *clocktree.Tree, cfg Config) (*Result, erro
 				best.ZonesReused++
 			} else {
 				best.ZonesResolved++
-				best.WarmStartLabel += solved[i].warm
 			}
 		}
 		sp.Count("eco.zones_reused", int64(best.ZonesReused))
 		sp.Count("eco.zones_resolved", int64(best.ZonesResolved))
-		sp.Count("eco.warmstart_labels", int64(best.WarmStartLabel))
 	}
 	return best, nil
 }
 
 // zoneSolved is one (interval, zone) outcome: candidate-index picks per
-// leaf plus the solver's peak estimate, and the ECO accounting for the
-// instance (replayed from cache vs solved, warm-start labels seeded).
+// leaf plus the solver's peak estimate, and whether the instance was
+// replayed from the ECO session instead of solved.
 type zoneSolved struct {
 	picks  []int
 	peak   float64
 	reused bool
-	warm   int
 }
 
 // solveZone solves a single (interval, zone) instance. It runs on worker
@@ -288,21 +284,9 @@ func solveZone(
 			zsp.Count("zone.candidates", cands)
 		}
 		var sol mosp.Solution
-		var info mosp.SolveInfo
-		var warm int
 		switch cfg.Algorithm {
 		case ClkWaveMin:
-			opts := mosp.Options{Epsilon: cfg.Epsilon, MaxLabels: cfg.MaxLabels}
-			if zk != nil {
-				opts.Info = &info
-				if labels, front, ok := cfg.Zones.Warm(zone.Key); ok {
-					// Output-neutral warm start: prior effort for this
-					// spatial zone pre-sizes the solver's arenas.
-					opts.WarmLabels, opts.WarmFrontier = labels, front
-					warm = labels
-				}
-			}
-			sol, err = mosp.Solve(ctx, zi.Graph, opts)
+			sol, err = mosp.Solve(ctx, zi.Graph, mosp.Options{Epsilon: cfg.Epsilon, MaxLabels: cfg.MaxLabels})
 		case ClkWaveMinF:
 			sol, err = mosp.SolveFast(ctx, zi.Graph)
 		default:
@@ -316,12 +300,9 @@ func solveZone(
 			picks[li] = zi.Graph.Layers[li][pi].Tag
 		}
 		if zk != nil {
-			cfg.Zones.Store(key, &zonecache.Solution{
-				Zone: zone.Key, Picks: picks, Peak: sol.Max,
-				Expanded: info.Expanded, Frontier: info.Frontier,
-			})
+			cfg.Zones.Store(key, &zonecache.Solution{Picks: picks, Peak: sol.Max})
 		}
-		return zoneSolved{picks: picks, peak: sol.Max, warm: warm}, nil
+		return zoneSolved{picks: picks, peak: sol.Max}, nil
 	}
 }
 

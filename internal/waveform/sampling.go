@@ -86,9 +86,17 @@ func HotSpots(n int, ws ...Waveform) SampleSet {
 		panic("waveform: HotSpots needs n >= 1")
 	}
 	sum := Sum(ws...)
-	pts := sum.Points()
-	if len(pts) == 0 {
+	if sum.IsZero() {
 		return SampleSet{Times: []float64{0}}
+	}
+	// The sort below reorders pts in place: copy them when Sum returned
+	// its one nonzero input as is, never sort the caller's waveform.
+	pts := sum.pts
+	for _, w := range ws {
+		if len(w.pts) > 0 && &w.pts[0] == &pts[0] {
+			pts = sum.Points()
+			break
+		}
 	}
 	// Sort candidate breakpoints by magnitude, keep the n largest, then
 	// restore time order.

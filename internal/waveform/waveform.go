@@ -191,7 +191,7 @@ func Add(a, b Waveform) Waveform {
 	if b.IsZero() {
 		return a
 	}
-	times := mergeTimes(a.pts, b.pts)
+	times := mergeTimes(a, b)
 	pts := make([]Point, len(times))
 	for i, t := range times {
 		pts[i] = Point{T: t, I: a.At(t) + b.At(t)}
@@ -202,7 +202,7 @@ func Add(a, b Waveform) Waveform {
 // Sum superposes any number of waveforms. Summing pairwise would be
 // quadratic in breakpoints; Sum merges all breakpoint sets once.
 func Sum(ws ...Waveform) Waveform {
-	nonzero := ws[:0:0]
+	nonzero := make([]Waveform, 0, len(ws))
 	for _, w := range ws {
 		if !w.IsZero() {
 			nonzero = append(nonzero, w)
@@ -214,11 +214,7 @@ func Sum(ws ...Waveform) Waveform {
 	case 1:
 		return nonzero[0]
 	}
-	var all []Point
-	for _, w := range nonzero {
-		all = append(all, w.pts...)
-	}
-	times := mergeTimes(all)
+	times := mergeTimes(nonzero...)
 	// Merged times are ascending, so each term can be read through a
 	// cursor instead of a fresh binary search per (waveform, time).
 	curs := make([]Cursor, len(nonzero))
@@ -236,10 +232,16 @@ func Sum(ws ...Waveform) Waveform {
 	return Waveform{pts: pts}
 }
 
-func mergeTimes(sets ...[]Point) []float64 {
-	var times []float64
-	for _, s := range sets {
-		for _, p := range s {
+// mergeTimes returns the sorted, deduplicated union of the waveforms'
+// breakpoint times.
+func mergeTimes(ws ...Waveform) []float64 {
+	n := 0
+	for _, w := range ws {
+		n += len(w.pts)
+	}
+	times := make([]float64, 0, n)
+	for _, w := range ws {
+		for _, p := range w.pts {
 			times = append(times, p.T)
 		}
 	}
@@ -341,7 +343,7 @@ func (w Waveform) Clip(t0, t1 float64) Waveform {
 // Equal reports whether two waveforms evaluate identically within tol at
 // every breakpoint of either.
 func Equal(a, b Waveform, tol float64) bool {
-	for _, t := range mergeTimes(a.pts, b.pts) {
+	for _, t := range mergeTimes(a, b) {
 		if math.Abs(a.At(t)-b.At(t)) > tol {
 			return false
 		}

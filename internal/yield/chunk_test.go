@@ -46,10 +46,10 @@ func TestYieldChunkAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Measured ~714 allocs/sample (timing arrays + current waveforms per
+	// Measured ~438 allocs/sample (timing arrays + current waveforms per
 	// sample); the budget leaves ~25% headroom while still catching a
 	// clone-per-sample regression on any realistically sized tree.
-	const perSampleBudget = 900
+	const perSampleBudget = 550
 	if perSample := perChunk / ChunkSize; perSample > perSampleBudget {
 		t.Errorf("chunk evaluation allocates %.0f per sample (budget %d)", perSample, perSampleBudget)
 	}

@@ -38,18 +38,17 @@ const KeyFormat = "wavemin-zonekey-v1"
 
 // solutionVersion versions the stored value encoding independently of the
 // key: a decode of a foreign or stale blob fails closed into a cache miss.
+// Older version 1 blobs also carry "zone", "expanded" and "frontier"
+// fields, which fed the deleted warm-start hints; Decode ignores them, so
+// stores written with them still replay.
 const solutionVersion = 1
 
 // Solution is one (interval, zone) solver outcome: the per-leaf candidate
-// picks in the zone's canonical leaf order, plus the solve-effort stats a
-// warm start uses as capacity hints.
+// picks in the zone's canonical leaf order.
 type Solution struct {
-	V        int     `json:"v"`
-	Zone     [2]int  `json:"zone"`     // spatial zone key (PartitionZones grid cell)
-	Picks    []int   `json:"picks"`    // candidate index per leaf, canonical leaf order
-	Peak     float64 `json:"peak"`     // the instance's peak estimate (merge tie-break input)
-	Expanded int     `json:"expanded"` // labels expanded by the cold solve
-	Frontier int     `json:"frontier"` // final Pareto frontier size
+	V     int     `json:"v"`
+	Picks []int   `json:"picks"` // candidate index per leaf, canonical leaf order
+	Peak  float64 `json:"peak"`  // the instance's peak estimate (merge tie-break input)
 }
 
 // Encode renders a solution as its stored bytes.
@@ -89,9 +88,8 @@ func New(maxBytes int64, maxEntries int) *rescache.Tiered {
 
 // Session is one optimization run's view of the zone solutions: a seeded
 // base-solution map (a delta job's spec ships it, so local and remote
-// executors replay alike), a record of every solution the run touched so
-// the job registry can chain deltas off it, and warm-start capacity hints
-// for zones whose content changed.
+// executors replay alike) and a record of every solution the run touched
+// so the job registry can chain deltas off it.
 //
 // A nil *Session is valid and always misses, so solver code can thread it
 // unconditionally. All methods are safe for concurrent use — the solver
@@ -100,7 +98,6 @@ type Session struct {
 	mu   sync.Mutex
 	seed map[string]seedEntry // base solutions by zone key, decoded once
 	used map[string][]byte    // every solution this run replayed or produced
-	warm map[[2]int]warmHint
 }
 
 // seedEntry keeps a seed in both forms: the stored bytes (what Used
@@ -112,16 +109,14 @@ type seedEntry struct {
 	sol *Solution
 }
 
-type warmHint struct{ labels, frontier int }
-
 // NewSession starts an empty run view.
 func NewSession() *Session {
-	return &Session{seed: map[string]seedEntry{}, used: map[string][]byte{}, warm: map[[2]int]warmHint{}}
+	return &Session{seed: map[string]seedEntry{}, used: map[string][]byte{}}
 }
 
 // Seed loads base-run solutions (zone key → encoded Solution). Malformed
 // entries are dropped: a seed is an optimization, never a correctness
-// input. Seeded solutions also feed the warm-hint index by spatial zone.
+// input.
 func (s *Session) Seed(zones map[string][]byte) {
 	if s == nil {
 		return
@@ -134,19 +129,7 @@ func (s *Session) Seed(zones map[string][]byte) {
 			continue
 		}
 		s.seed[key] = seedEntry{raw: append([]byte(nil), raw...), sol: sol}
-		s.noteWarmLocked(sol)
 	}
-}
-
-func (s *Session) noteWarmLocked(sol *Solution) {
-	h := s.warm[sol.Zone]
-	if sol.Expanded > h.labels {
-		h.labels = sol.Expanded
-	}
-	if sol.Frontier > h.frontier {
-		h.frontier = sol.Frontier
-	}
-	s.warm[sol.Zone] = h
 }
 
 // Lookup returns the seeded solution stored under key and records the
@@ -177,21 +160,6 @@ func (s *Session) Store(key string, sol *Solution) {
 	s.mu.Lock()
 	s.used[key] = raw
 	s.mu.Unlock()
-}
-
-// Warm returns capacity hints for a zone that must be re-solved: the
-// largest label-expansion and frontier counts any base solution for the
-// same spatial zone recorded. Hints are strictly output-neutral — they
-// pre-size solver arenas, never change pruning — so a wrong or missing
-// hint costs speed, not correctness.
-func (s *Session) Warm(zone [2]int) (labels, frontier int, ok bool) {
-	if s == nil {
-		return 0, 0, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h, ok := s.warm[zone]
-	return h.labels, h.frontier, ok
 }
 
 // Used snapshots every solution this run touched, keyed by zone key — the

@@ -7,12 +7,12 @@ import (
 	"testing"
 )
 
-func sol(zone [2]int, picks []int, expanded, frontier int) *Solution {
-	return &Solution{Zone: zone, Picks: picks, Peak: 1.5, Expanded: expanded, Frontier: frontier}
+func sol(picks []int) *Solution {
+	return &Solution{Picks: picks, Peak: 1.5}
 }
 
 func TestSolutionRoundTrip(t *testing.T) {
-	want := sol([2]int{3, -1}, []int{0, 2, 1}, 40, 7)
+	want := sol([]int{0, 2, 1})
 	got, err := Decode(want.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -25,7 +25,7 @@ func TestSolutionRoundTrip(t *testing.T) {
 // TestDecodeFailsClosed: any blob that is not exactly a current-version
 // solution must come back (nil, error) — a cache miss, never a bad replay.
 func TestDecodeFailsClosed(t *testing.T) {
-	skewed := sol([2]int{0, 0}, []int{1}, 1, 1).Encode()
+	skewed := sol([]int{1}).Encode()
 	skewed = bytes.Replace(skewed, []byte(`"v":1`), []byte(`"v":2`), 1)
 	for name, blob := range map[string][]byte{
 		"empty":        nil,
@@ -42,7 +42,7 @@ func TestDecodeFailsClosed(t *testing.T) {
 
 func TestEncodeStampsVersion(t *testing.T) {
 	var m map[string]any
-	if err := json.Unmarshal(sol([2]int{0, 0}, nil, 0, 0).Encode(), &m); err != nil {
+	if err := json.Unmarshal(sol(nil).Encode(), &m); err != nil {
 		t.Fatal(err)
 	}
 	if m["v"] != float64(solutionVersion) {
@@ -76,7 +76,7 @@ func seedMap(t *testing.T, sols ...*Solution) map[string][]byte {
 
 func TestSessionSeedLookupUsed(t *testing.T) {
 	s := NewSession()
-	seeds := seedMap(t, sol([2]int{1, 1}, []int{0, 1}, 10, 3))
+	seeds := seedMap(t, sol([]int{0, 1}))
 	seeds["bad"] = []byte("junk") // malformed seeds are dropped, not fatal
 	s.Seed(seeds)
 
@@ -87,7 +87,7 @@ func TestSessionSeedLookupUsed(t *testing.T) {
 	if !ok || !reflect.DeepEqual(got.Picks, []int{0, 1}) {
 		t.Fatalf("Lookup(a) = %+v, %v", got, ok)
 	}
-	fresh := sol([2]int{2, 2}, []int{4}, 20, 5)
+	fresh := sol([]int{4})
 	s.Store("f", fresh)
 	if _, ok := s.Lookup("f"); ok {
 		t.Fatal("Lookup served a stored solution; only seeds replay")
@@ -105,22 +105,21 @@ func TestSessionSeedLookupUsed(t *testing.T) {
 	}
 }
 
-// TestSessionWarmHints: seeds index capacity hints by spatial zone, and
-// the hint is the max over every seed for that zone — hints pre-size
-// arenas, so under-reporting wastes speed while the max is always safe.
-func TestSessionWarmHints(t *testing.T) {
+// TestSessionReplaysParentFormat: version-1 blobs written before the
+// warm-start fields were dropped still carry "zone", "expanded" and
+// "frontier".
+// They must keep replaying — durable zone stores hold them — and Used must
+// hand back their original bytes, not a re-encoding.
+func TestSessionReplaysParentFormat(t *testing.T) {
+	raw := []byte(`{"v":1,"zone":[1,2],"picks":[0,1],"peak":1.5,"expanded":40,"frontier":7}`)
 	s := NewSession()
-	s.Seed(map[string][]byte{
-		"a": sol([2]int{1, 2}, []int{0}, 10, 3).Encode(),
-		"b": sol([2]int{1, 2}, []int{0}, 25, 2).Encode(),
-		"c": sol([2]int{9, 9}, []int{0}, 7, 7).Encode(),
-	})
-	labels, frontier, ok := s.Warm([2]int{1, 2})
-	if !ok || labels != 25 || frontier != 3 {
-		t.Fatalf("Warm = %d, %d, %v; want max (25, 3)", labels, frontier, ok)
+	s.Seed(map[string][]byte{"k": raw})
+	got, ok := s.Lookup("k")
+	if !ok || !reflect.DeepEqual(got.Picks, []int{0, 1}) {
+		t.Fatalf("Lookup(k) = %+v, %v; want picks [0 1]", got, ok)
 	}
-	if _, _, ok := s.Warm([2]int{0, 0}); ok {
-		t.Fatal("Warm hit for an unseeded zone")
+	if used := s.Used(); !bytes.Equal(used["k"], raw) {
+		t.Fatalf("Used()[k] = %s, want the seeded bytes %s", used["k"], raw)
 	}
 }
 
@@ -132,10 +131,7 @@ func TestNilSessionSafe(t *testing.T) {
 	if _, ok := s.Lookup("k"); ok {
 		t.Fatal("nil session hit")
 	}
-	s.Store("k", sol([2]int{0, 0}, nil, 0, 0))
-	if _, _, ok := s.Warm([2]int{0, 0}); ok {
-		t.Fatal("nil session warm hit")
-	}
+	s.Store("k", sol(nil))
 	if u := s.Used(); u != nil {
 		t.Fatalf("nil session Used = %v", u)
 	}

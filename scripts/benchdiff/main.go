@@ -1,8 +1,8 @@
 // Command benchdiff compares two benchmark snapshots written by
 // scripts/benchjson and reports the per-benchmark time and allocation
-// deltas. It exits non-zero when any benchmark's ns/op regressed by more
-// than -threshold percent — wire it as a non-blocking Makefile tier, since
-// single-run snapshots carry real machine noise.
+// deltas. It exits non-zero when any benchmark's ns/op, B/op or allocs/op
+// regressed by more than -threshold percent — wire it as a non-blocking
+// Makefile tier, since single-run snapshots carry real machine noise.
 //
 // Usage:
 //
@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 )
@@ -33,7 +34,7 @@ type snapshot struct {
 }
 
 func main() {
-	threshold := flag.Float64("threshold", 25, "ns/op regression percent that fails the diff")
+	threshold := flag.Float64("threshold", 25, "ns/op, B/op or allocs/op regression percent that fails the diff")
 	flag.Parse()
 	if flag.NArg() != 2 {
 		fmt.Fprintln(os.Stderr, "usage: benchdiff [-threshold pct] old.json new.json")
@@ -51,7 +52,16 @@ func main() {
 	}
 	fmt.Printf("old: %s (%s, GOMAXPROCS=%d)\n", flag.Arg(0), oldSnap.Date, oldSnap.GOMAXPROCS)
 	fmt.Printf("new: %s (%s, GOMAXPROCS=%d)\n\n", flag.Arg(1), newSnap.Date, newSnap.GOMAXPROCS)
+	if regressed := report(os.Stdout, oldSnap, newSnap, *threshold); regressed > 0 {
+		fmt.Printf("\n%d regression(s) beyond %.0f%%\n", regressed, *threshold)
+		os.Exit(1)
+	}
+	fmt.Printf("\nno regressions beyond %.0f%%\n", *threshold)
+}
 
+// report writes the per-benchmark table to w and returns how many
+// ns/op, B/op and allocs/op figures grew by more than threshold percent.
+func report(w io.Writer, oldSnap, newSnap snapshot, threshold float64) int {
 	oldBy := make(map[string]benchmark, len(oldSnap.Benchmarks))
 	for _, b := range oldSnap.Benchmarks {
 		oldBy[b.Name] = b
@@ -65,36 +75,38 @@ func main() {
 	sort.Strings(names)
 
 	regressed := 0
-	fmt.Printf("%-60s %14s %14s %8s\n", "benchmark", "old ns/op", "new ns/op", "delta")
+	fmt.Fprintf(w, "%-60s %14s %14s %8s\n", "benchmark", "old ns/op", "new ns/op", "delta")
 	for _, name := range names {
 		nb := newBy[name]
 		ob, ok := oldBy[name]
 		if !ok || ob.NsPerOp == 0 {
-			fmt.Printf("%-60s %14s %14.0f %8s\n", name, "-", nb.NsPerOp, "new")
+			fmt.Fprintf(w, "%-60s %14s %14.0f %8s\n", name, "-", nb.NsPerOp, "new")
 			continue
 		}
 		delta := 100 * (nb.NsPerOp - ob.NsPerOp) / ob.NsPerOp
 		mark := ""
-		if delta > *threshold {
+		if delta > threshold {
 			mark = "  REGRESSED"
 			regressed++
 		}
-		fmt.Printf("%-60s %14.0f %14.0f %+7.1f%%%s\n", name, ob.NsPerOp, nb.NsPerOp, delta, mark)
-		if ob.AllocsPerOp > 0 && nb.AllocsPerOp > ob.AllocsPerOp*(1+*threshold/100) {
-			fmt.Printf("%-60s %14.0f %14.0f allocs/op  REGRESSED\n", "  ^ allocations", ob.AllocsPerOp, nb.AllocsPerOp)
+		fmt.Fprintf(w, "%-60s %14.0f %14.0f %+7.1f%%%s\n", name, ob.NsPerOp, nb.NsPerOp, delta, mark)
+		// Checked apart from allocs/op: a few large allocations (arena
+		// chunks) can multiply B/op while allocs/op barely moves.
+		if ob.BytesPerOp > 0 && nb.BytesPerOp > ob.BytesPerOp*(1+threshold/100) {
+			fmt.Fprintf(w, "%-60s %14.0f %14.0f B/op  REGRESSED\n", "  ^ bytes", ob.BytesPerOp, nb.BytesPerOp)
+			regressed++
+		}
+		if ob.AllocsPerOp > 0 && nb.AllocsPerOp > ob.AllocsPerOp*(1+threshold/100) {
+			fmt.Fprintf(w, "%-60s %14.0f %14.0f allocs/op  REGRESSED\n", "  ^ allocations", ob.AllocsPerOp, nb.AllocsPerOp)
 			regressed++
 		}
 	}
 	for _, b := range oldSnap.Benchmarks {
 		if _, ok := newBy[b.Name]; !ok {
-			fmt.Printf("%-60s %14.0f %14s %8s\n", b.Name, b.NsPerOp, "-", "gone")
+			fmt.Fprintf(w, "%-60s %14.0f %14s %8s\n", b.Name, b.NsPerOp, "-", "gone")
 		}
 	}
-	if regressed > 0 {
-		fmt.Printf("\n%d regression(s) beyond %.0f%%\n", regressed, *threshold)
-		os.Exit(1)
-	}
-	fmt.Printf("\nno regressions beyond %.0f%%\n", *threshold)
+	return regressed
 }
 
 func load(path string) (snapshot, error) {

@@ -11,6 +11,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -30,6 +31,7 @@ type Benchmark struct {
 }
 
 // Snapshot is a dated benchmark run on one machine configuration.
+// GOMAXPROCS is the value the benchmarks ran at, read from their lines.
 type Snapshot struct {
 	Date       string      `json:"date"`
 	GoVersion  string      `json:"go_version"`
@@ -38,33 +40,13 @@ type Snapshot struct {
 }
 
 func main() {
-	snap := Snapshot{
-		Date:       time.Now().UTC().Format("2006-01-02"),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	pkg := ""
-	for sc.Scan() {
-		line := sc.Text()
-		if p, ok := strings.CutPrefix(strings.TrimSpace(line), "pkg: "); ok {
-			pkg = pkgPrefix(p)
-			continue
-		}
-		if b, ok := parseLine(line); ok {
-			b.Name = pkg + b.Name
-			snap.Benchmarks = append(snap.Benchmarks, b)
-		}
-	}
-	if err := sc.Err(); err != nil {
+	snap, err := read(os.Stdin)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-	if len(snap.Benchmarks) == 0 {
-		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
-		os.Exit(1)
-	}
+	snap.Date = time.Now().UTC().Format("2006-01-02")
+	snap.GoVersion = runtime.Version()
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(snap); err != nil {
@@ -73,29 +55,65 @@ func main() {
 	}
 }
 
+// read collects the benchmark lines of `go test -bench` output. Every
+// line must carry the same GOMAXPROCS suffix, or none (which means 1):
+// a snapshot mixing -cpu values would compare unlike runs.
+func read(r io.Reader) (Snapshot, error) {
+	var snap Snapshot
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	pkg := ""
+	for sc.Scan() {
+		line := sc.Text()
+		if p, ok := strings.CutPrefix(strings.TrimSpace(line), "pkg: "); ok {
+			pkg = pkgPrefix(p)
+			continue
+		}
+		b, procs, ok := parseLine(line)
+		if !ok {
+			continue
+		}
+		b.Name = pkg + b.Name
+		if snap.GOMAXPROCS != 0 && procs != snap.GOMAXPROCS {
+			return Snapshot{}, fmt.Errorf("%s ran at GOMAXPROCS %d, earlier benchmarks at %d", b.Name, procs, snap.GOMAXPROCS)
+		}
+		snap.GOMAXPROCS = procs
+		snap.Benchmarks = append(snap.Benchmarks, b)
+	}
+	if err := sc.Err(); err != nil {
+		return Snapshot{}, err
+	}
+	if len(snap.Benchmarks) == 0 {
+		return Snapshot{}, fmt.Errorf("no benchmark lines on stdin")
+	}
+	return snap, nil
+}
+
 // parseLine handles one `go test -bench` result line, e.g.
 //
 //	BenchmarkMOSPSolve-8   42   23633690 ns/op   1128505 B/op   66 allocs/op
 //
-// including custom metric columns like "12.3 peak-improvement-%".
-func parseLine(line string) (Benchmark, bool) {
+// including custom metric columns like "12.3 peak-improvement-%", and
+// returns the GOMAXPROCS the name's suffix records.
+func parseLine(line string) (Benchmark, int, bool) {
 	if !strings.HasPrefix(line, "Benchmark") {
-		return Benchmark{}, false
+		return Benchmark{}, 0, false
 	}
 	fields := strings.Fields(line)
 	if len(fields) < 4 {
-		return Benchmark{}, false
+		return Benchmark{}, 0, false
 	}
-	b := Benchmark{Name: trimProcs(fields[0])}
+	name, procs := trimProcs(fields[0])
+	b := Benchmark{Name: name}
 	runs, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
-		return Benchmark{}, false
+		return Benchmark{}, 0, false
 	}
 	b.Runs = runs
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
-			return Benchmark{}, false
+			return Benchmark{}, 0, false
 		}
 		switch unit := fields[i+1]; unit {
 		case "ns/op":
@@ -111,7 +129,7 @@ func parseLine(line string) (Benchmark, bool) {
 			b.Metrics[unit] = v
 		}
 	}
-	return b, b.NsPerOp > 0
+	return b, procs, b.NsPerOp > 0
 }
 
 // pkgPrefix turns a `pkg:` header into a name prefix so benchmarks from
@@ -126,15 +144,16 @@ func pkgPrefix(pkg string) string {
 	return ""
 }
 
-// trimProcs drops the trailing "-<gomaxprocs>" the bench runner appends,
-// so names compare across machines.
-func trimProcs(name string) string {
+// trimProcs splits off the trailing "-<gomaxprocs>" the bench runner
+// appends when GOMAXPROCS is not 1, so names compare across machines.
+func trimProcs(name string) (string, int) {
 	i := strings.LastIndex(name, "-")
 	if i < 0 {
-		return name
+		return name, 1
 	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
+	procs, err := strconv.Atoi(name[i+1:])
+	if err != nil || procs < 1 {
+		return name, 1
 	}
-	return name[:i]
+	return name[:i], procs
 }

@@ -117,12 +117,12 @@ type Config struct {
 	Budget time.Duration
 	// ECO, when non-nil, runs this optimization incrementally: every
 	// (interval, zone) solver instance is content-keyed, unchanged zones
-	// replay their cached solution, and only the delta is solved (with
-	// warm-started arenas). ECO never changes the answer — replay is
-	// bitwise-identical to solving by construction — so, like Workers and
-	// Budget, it is an execution hint: it is excluded from CacheKey and the
-	// eco accounting fields it populates are excluded from the marshaled
-	// Result. Single-mode flow only; multi-mode rungs ignore it.
+	// replay their cached solution, and only the delta is solved. ECO
+	// never changes the answer — replay is bitwise-identical to solving by
+	// construction — so, like Workers and Budget, it is an execution hint:
+	// it is excluded from CacheKey and the eco accounting fields it
+	// populates are excluded from the marshaled Result. Single-mode flow
+	// only; multi-mode rungs ignore it.
 	ECO *ECOConfig `json:"ECO,omitempty"`
 }
 
@@ -428,18 +428,15 @@ type Result struct {
 	// trace (internal/obs); nil otherwise.
 	Stats *Stats
 
-	// ECO accounting, populated only when Config.ECO is set. All four are
+	// ECO accounting, populated only when Config.ECO is set. All three are
 	// excluded from the marshaled result: like Stats, they describe the
 	// run, not the answer, and the canonical result bytes of a delta solve
 	// must equal those of the cold solve it shortcuts.
 	//
 	// ZonesReused counts (interval, zone) solver instances replayed from
-	// cached solutions; ZonesResolved counts instances actually solved;
-	// WarmStartLabels totals the label-arena capacity seeded into
-	// re-solved instances.
-	ZonesReused     int `json:"-"`
-	ZonesResolved   int `json:"-"`
-	WarmStartLabels int `json:"-"`
+	// cached solutions; ZonesResolved counts instances actually solved.
+	ZonesReused   int `json:"-"`
+	ZonesResolved int `json:"-"`
 	// Zones is every zone solution this run replayed or produced, keyed by
 	// zone content key — the map a job registry records so later deltas
 	// can chain off this result, and a dispatched run ships home.
@@ -575,7 +572,6 @@ func (d *Design) Optimize(ctx context.Context, cfg Config) (res *Result, err err
 				if esp := sp.Child("eco"); esp != nil {
 					esp.Count("eco.zones_reused", int64(rr.ZonesReused))
 					esp.Count("eco.zones_resolved", int64(rr.ZonesResolved))
-					esp.Count("eco.warmstart_labels", int64(rr.WarmStartLabels))
 					esp.End()
 				}
 			}
@@ -621,11 +617,7 @@ func (d *Design) ladder(cfg Config, sizing *cell.Library, degradable bool, snap 
 					return nil, nil, err
 				}
 				polarity.Apply(work, opt.Assignment)
-				res := &Result{
-					ZonesReused:     opt.ZonesReused,
-					ZonesResolved:   opt.ZonesResolved,
-					WarmStartLabels: opt.WarmStartLabel,
-				}
+				res := &Result{ZonesReused: opt.ZonesReused, ZonesResolved: opt.ZonesResolved}
 				countCells(work, res)
 				after, err := d.measureTree(ctx, work, modes)
 				if err != nil {
