@@ -11,8 +11,13 @@ build:
 test: build
 	$(GO) test ./...
 
+# Static analysis, plus a formatting gate: gofmt must list no tracked Go
+# file (tracked only, so the module caches perfbench keeps under
+# .bench_build/ are never scanned).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(git ls-files -z '*.go' | xargs -0 -r gofmt -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 # Tier 2: static analysis plus the full suite under the race detector.
 # Slower, but the cancellation and fault-injection paths are concurrent,

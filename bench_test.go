@@ -413,7 +413,7 @@ func BenchmarkMOSPSolve(b *testing.B) {
 			for s := range w {
 				w[s] = float64((l*7+v*13+s*3)%50) + 1
 			}
-			layer = append(layer, mosp.Vertex{Weight: w, Tag: v})
+			layer = append(layer, mosp.Vertex{Weight: w})
 		}
 		g.Layers = append(g.Layers, layer)
 	}

@@ -66,8 +66,6 @@ type Vertex struct {
 	// Weight is the option's noise vector over the sample set (length =
 	// the graph dimension r).
 	Weight []float64
-	// Tag is an opaque caller identifier (e.g. index into a cell list).
-	Tag int
 }
 
 // Graph is a layered MOSP instance.

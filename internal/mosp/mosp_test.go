@@ -14,8 +14,8 @@ func tinyGraph() *Graph {
 	return &Graph{
 		Baseline: []float64{5, 5},
 		Layers: [][]Vertex{
-			{{Weight: []float64{10, 1}, Tag: 0}, {Weight: []float64{1, 10}, Tag: 1}},
-			{{Weight: []float64{10, 1}, Tag: 0}, {Weight: []float64{1, 10}, Tag: 1}},
+			{{Weight: []float64{10, 1}}, {Weight: []float64{1, 10}}},
+			{{Weight: []float64{10, 1}}, {Weight: []float64{1, 10}}},
 		},
 	}
 }
@@ -32,7 +32,7 @@ func randGraph(rng *rand.Rand, layers, width, dim int, scale float64) *Graph {
 			for s := range w {
 				w[s] = rng.Float64() * scale
 			}
-			l = append(l, Vertex{Weight: w, Tag: j})
+			l = append(l, Vertex{Weight: w})
 		}
 		g.Layers = append(g.Layers, l)
 	}
@@ -87,7 +87,7 @@ func TestTinyOptimum(t *testing.T) {
 		if math.Abs(sol.Max-16) > 1e-9 {
 			t.Errorf("%s: max = %g, want 16 (picks %v)", name, sol.Max, sol.Picks)
 		}
-		if g.Layers[0][sol.Picks[0]].Tag == g.Layers[1][sol.Picks[1]].Tag {
+		if sol.Picks[0] == sol.Picks[1] {
 			t.Errorf("%s: optimum must mix polarities, got %v", name, sol.Picks)
 		}
 	}
@@ -210,7 +210,7 @@ func TestExhaustiveRefusesHugeInstances(t *testing.T) {
 func TestSingleLayerSingleVertex(t *testing.T) {
 	g := &Graph{
 		Baseline: []float64{1, 2},
-		Layers:   [][]Vertex{{{Weight: []float64{3, 0}, Tag: 7}}},
+		Layers:   [][]Vertex{{{Weight: []float64{3, 0}}}},
 	}
 	sol, err := Solve(context.Background(), g, Options{Epsilon: 0.01})
 	if err != nil {
@@ -286,7 +286,7 @@ func TestPropertyPermutationInvariance(t *testing.T) {
 		for _, l := range g.Layers {
 			var nl []Vertex
 			for _, v := range l {
-				nl = append(nl, Vertex{Weight: permute(v.Weight, perm), Tag: v.Tag})
+				nl = append(nl, Vertex{Weight: permute(v.Weight, perm)})
 			}
 			pg.Layers = append(pg.Layers, nl)
 		}

@@ -24,7 +24,7 @@ func dupGraph(rng *rand.Rand, layers, width, dim int) *Graph {
 				// Small integer grid → frequent exact-duplicate sums.
 				w[s] = float64(rng.Intn(3))
 			}
-			l = append(l, Vertex{Weight: w, Tag: j})
+			l = append(l, Vertex{Weight: w})
 		}
 		g.Layers = append(g.Layers, l)
 	}
@@ -84,9 +84,9 @@ func TestDedupKeepsBetterRepresentative(t *testing.T) {
 	g := &Graph{
 		Baseline: []float64{0, 0},
 		Layers: [][]Vertex{{
-			{Weight: []float64{9, 9}, Tag: 0},
-			{Weight: []float64{1, 1}, Tag: 1},
-			{Weight: []float64{9, 1}, Tag: 2},
+			{Weight: []float64{9, 9}},
+			{Weight: []float64{1, 1}},
+			{Weight: []float64{9, 1}},
 		}},
 	}
 	sol, err := Solve(context.Background(), g, Options{Epsilon: 5})

@@ -25,7 +25,7 @@ func benchGraph() *Graph {
 			for s := range w {
 				w[s] = float64((l*7+v*13+s*3)%50) + 1
 			}
-			layer = append(layer, Vertex{Weight: w, Tag: v})
+			layer = append(layer, Vertex{Weight: w})
 		}
 		g.Layers = append(g.Layers, layer)
 	}
@@ -76,7 +76,7 @@ func lineGraph(rng *rand.Rand, layers, width int) *Graph {
 		var l []Vertex
 		for j := 0; j < width; j++ {
 			x := rng.Float64() * 10
-			l = append(l, Vertex{Weight: []float64{x, 10 - x, x, 10 - x}, Tag: j})
+			l = append(l, Vertex{Weight: []float64{x, 10 - x, x, 10 - x}})
 		}
 		g.Layers = append(g.Layers, l)
 	}

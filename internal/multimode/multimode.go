@@ -57,8 +57,6 @@ type Config struct {
 	// MaxIntersections caps how many feasible intersections are fully
 	// optimized (DoF order); 0 = 12.
 	MaxIntersections int
-	// MaxLabels caps the per-layer Pareto label set (0 = 4000).
-	MaxLabels int
 	// IntervalSpread changes the per-mode interval cap from "top N by
 	// degree of freedom" to "N evenly spaced across the DoF range" —
 	// used by the Fig. 14 study, which needs poor intersections too.
@@ -82,11 +80,11 @@ type Intersection struct {
 	DoF      int
 }
 
-// cand is one (leaf, cell) option characterized across modes.
+// cand is one (leaf, cell) option characterized in every mode, at zero
+// bank steps.
 type cand struct {
-	c      *cell.Cell
-	baseAT []float64             // per mode, zero bank steps
-	waves  [][]waveform.Waveform // [mode][group], zero bank steps, absolute t
+	c       *cell.Cell
+	perMode []polarity.Candidate
 }
 
 func (c *cand) adjMax() float64 {
@@ -99,7 +97,7 @@ func (c *cand) adjMax() float64 {
 // stepsFor returns the minimal bank steps putting the candidate's arrival
 // inside [lo, hi] in the given mode, and whether that is possible.
 func (c *cand) stepsFor(mode int, lo, hi float64) (int, bool) {
-	at := c.baseAT[mode]
+	at := c.perMode[mode].AT
 	if at > hi+1e-9 {
 		return 0, false
 	}
@@ -177,19 +175,9 @@ func NewProblem(t *clocktree.Tree, modes []clocktree.Mode, cfg Config) (*Problem
 		}
 		var cs []cand
 		for _, c := range options {
-			k := cand{c: c, baseAT: make([]float64, len(modes))}
+			k := cand{c: c, perMode: make([]polarity.Candidate, len(modes))}
 			for mi, m := range modes {
-				tm := p.timings[mi]
-				vdd := m.VDDOf(nd.Domain)
-				load := tm.Load[leaf]
-				atIn := tm.ATIn[leaf] + polarity.SelfLoadShift(t, tm, m, leaf, c)
-				edge := t.EdgeAtInput(leaf, cell.Rising)
-				k.baseAT[mi] = atIn + c.Delay(load, vdd)
-				iddR, issR := c.Currents(edge, load, vdd, tm.SlewIn[leaf])
-				iddF, issF := c.Currents(edge.Opposite(), load, vdd, tm.SlewIn[leaf])
-				k.waves = append(k.waves, []waveform.Waveform{
-					iddR.Shift(atIn), issR.Shift(atIn), iddF.Shift(atIn), issF.Shift(atIn),
-				})
+				k.perMode[mi] = polarity.Characterize(t, p.timings[mi], m, leaf, c)
 			}
 			cs = append(cs, k)
 		}
@@ -215,7 +203,7 @@ func (p *Problem) modeIntervals(mi int) []Window {
 	var anchors []float64
 	for _, cs := range p.cands {
 		for _, c := range cs {
-			anchors = append(anchors, c.baseAT[mi], c.baseAT[mi]+c.adjMax())
+			anchors = append(anchors, c.perMode[mi].AT, c.perMode[mi].AT+c.adjMax())
 		}
 	}
 	sort.Float64s(anchors)
@@ -370,10 +358,6 @@ func (p *Problem) OptimizeIntersection(ctx context.Context, ix *Intersection) (*
 	for i, l := range p.leaves {
 		leafIdx[l] = i
 	}
-	perGroup := p.cfg.Samples / int(polarity.NumGroups)
-	if perGroup < 1 {
-		perGroup = 1
-	}
 	sp := obs.FromContext(ctx)
 	solved := make([]zoneResult, len(p.zones))
 	ferr := parallel.ForEach(ctx, p.cfg.Workers, len(p.zones), func(i int) error {
@@ -383,7 +367,7 @@ func (p *Problem) OptimizeIntersection(ctx context.Context, ix *Intersection) (*
 			zsp.Count("zone.leaves", int64(len(p.zones[i].Leaves)))
 			zctx = obs.WithSpan(ctx, zsp)
 		}
-		zr, err := p.solveZone(zctx, ix, &p.zones[i], leafIdx, perGroup)
+		zr, err := p.solveZone(zctx, ix, &p.zones[i], leafIdx)
 		if err != nil {
 			return err
 		}
@@ -420,21 +404,23 @@ func (p *Problem) OptimizeIntersection(ctx context.Context, ix *Intersection) (*
 	return res, nil
 }
 
-// solveZone builds and solves one zone's multi-mode MOSP instance. It
-// runs on worker goroutines; the Problem is read-only here and the zone
-// is taken by pointer but never mutated.
+// solveZone builds and solves one zone's multi-mode MOSP instance: every
+// power mode contributes its four sampling groups (Fig. 12). It runs on
+// worker goroutines; the Problem is read-only here and the zone is taken
+// by pointer but never mutated.
 func (p *Problem) solveZone(
-	ctx context.Context, ix *Intersection, zone *polarity.Zone,
-	leafIdx map[clocktree.NodeID]int, perGroup int,
+	ctx context.Context, ix *Intersection, zone *polarity.Zone, leafIdx map[clocktree.NodeID]int,
 ) (zoneResult, error) {
 	faultinject.At(faultinject.SiteMultimodeZone)
-	// Shifted candidate waveforms and steps per (leaf, candidate).
+	// Per (leaf, feasible candidate): its bank steps per mode, and in
+	// layers its step-shifted waveforms, mode-major by group.
 	type zcand struct {
 		ci    int
 		steps []int // per mode
-		waves [][]waveform.Waveform
 	}
 	feas := make([][]zcand, len(zone.Leaves))
+	layers := make([][][]waveform.Waveform, len(zone.Leaves))
+	var cands int64
 	for zi, leaf := range zone.Leaves {
 		li := leafIdx[leaf]
 		for _, ci := range ix.Feasible[li] {
@@ -452,82 +438,34 @@ func (p *Problem) solveZone(
 			if !ok {
 				continue
 			}
-			zc.waves = make([][]waveform.Waveform, len(p.modes))
+			ws := make([]waveform.Waveform, 0, len(p.modes)*int(polarity.NumGroups))
 			for mi := range p.modes {
 				shift := float64(zc.steps[mi]) * stepPsOf(c.c)
-				ws := make([]waveform.Waveform, polarity.NumGroups)
-				for g := 0; g < int(polarity.NumGroups); g++ {
-					ws[g] = c.waves[mi][g].Shift(shift)
+				for _, w := range c.perMode[mi].Waves {
+					ws = append(ws, w.Shift(shift))
 				}
-				zc.waves[mi] = ws
 			}
 			feas[zi] = append(feas[zi], zc)
+			layers[zi] = append(layers[zi], ws)
 		}
 		if len(feas[zi]) == 0 {
 			return zoneResult{}, fmt.Errorf("multimode: zone %v leaf %d infeasible", zone.Key, leaf)
 		}
+		cands += int64(len(feas[zi]))
 	}
-	if zsp := obs.FromContext(ctx); zsp != nil {
-		var cands int64
-		for zi := range feas {
-			cands += int64(len(feas[zi]))
-		}
-		zsp.Count("zone.candidates", cands)
-	}
-	// Per-mode, per-group baselines and sample sets.
-	baselines := make([][]waveform.Waveform, len(p.modes))
-	samples := make([][]waveform.SampleSet, len(p.modes))
+	obs.FromContext(ctx).Count("zone.candidates", cands)
+	baseline := make([]waveform.Waveform, 0, len(p.modes)*int(polarity.NumGroups))
 	for mi := range p.modes {
-		baselines[mi] = make([]waveform.Waveform, polarity.NumGroups)
-		samples[mi] = make([]waveform.SampleSet, polarity.NumGroups)
-		for _, id := range zone.NonLeaves {
-			iddR, issR := p.tree.NodeCurrents(p.timings[mi], id, cell.Rising)
-			iddF, issF := p.tree.NodeCurrents(p.timings[mi], id, cell.Falling)
-			for g, w := range []waveform.Waveform{iddR, issR, iddF, issF} {
-				baselines[mi][g] = waveform.Add(baselines[mi][g], w)
-			}
-		}
-		for g := 0; g < int(polarity.NumGroups); g++ {
-			ws := []waveform.Waveform{baselines[mi][g]}
-			for zi := range feas {
-				for _, zc := range feas[zi] {
-					ws = append(ws, zc.waves[mi][g])
-				}
-			}
-			samples[mi][g] = waveform.HotSpots(perGroup, ws...)
-		}
+		base := polarity.Baseline(p.tree, p.timings[mi], zone.NonLeaves)
+		baseline = append(baseline, base[:]...)
 	}
-	vector := func(sel func(mi, g int) waveform.Waveform) []float64 {
-		var out []float64
-		for mi := range p.modes {
-			for g := 0; g < int(polarity.NumGroups); g++ {
-				out = append(out, samples[mi][g].Vector(sel(mi, g))...)
-			}
-		}
-		return out
-	}
-	graph := &mosp.Graph{Baseline: vector(func(mi, g int) waveform.Waveform { return baselines[mi][g] })}
-	for zi := range feas {
-		var layer []mosp.Vertex
-		for fi, zc := range feas[zi] {
-			zc := zc
-			layer = append(layer, mosp.Vertex{
-				Weight: vector(func(mi, g int) waveform.Waveform { return zc.waves[mi][g] }),
-				Tag:    fi,
-			})
-		}
-		graph.Layers = append(graph.Layers, layer)
-	}
+	graph := polarity.ZoneGraph(p.cfg.Samples, baseline, layers)
 	var sol mosp.Solution
 	var err error
-	maxLabels := p.cfg.MaxLabels
-	if maxLabels <= 0 {
-		maxLabels = 4000
-	}
 	if p.cfg.Fast {
 		sol, err = mosp.SolveFast(ctx, graph)
 	} else {
-		sol, err = mosp.Solve(ctx, graph, mosp.Options{Epsilon: p.cfg.Epsilon, MaxLabels: maxLabels})
+		sol, err = mosp.Solve(ctx, graph, mosp.Options{Epsilon: p.cfg.Epsilon, MaxLabels: polarity.MaxLabels})
 	}
 	if err != nil {
 		return zoneResult{}, err
@@ -538,7 +476,7 @@ func (p *Problem) solveZone(
 		peak:  sol.Max,
 	}
 	for zi, leaf := range zone.Leaves {
-		zc := feas[zi][graph.Layers[zi][sol.Picks[zi]].Tag]
+		zc := feas[zi][sol.Picks[zi]]
 		chosen := p.cands[leafIdx[leaf]][zc.ci]
 		zr.cells[zi] = chosen.c
 		if chosen.c.Adjustable() {

@@ -9,8 +9,8 @@ import (
 
 func cancelLayers() [][]Option {
 	return [][]Option{
-		{{Peak: 100, IsBuffer: true, Tag: 0}, {Peak: 100, IsBuffer: false, Tag: 1}},
-		{{Peak: 100, IsBuffer: true, Tag: 0}, {Peak: 100, IsBuffer: false, Tag: 1}},
+		{{Peak: 100, IsBuffer: true}, {Peak: 100, IsBuffer: false}},
+		{{Peak: 100, IsBuffer: true}, {Peak: 100, IsBuffer: false}},
 	}
 }
 

@@ -26,7 +26,6 @@ import (
 type Option struct {
 	Peak     float64 // the cell's peak supply current over [0,∞), µA
 	IsBuffer bool    // true: counts into the buffer-side sum
-	Tag      int     // opaque caller identifier
 }
 
 // Solution is one pick per layer (sink).

@@ -14,7 +14,7 @@ func randLayers(rng *rand.Rand, layers, width int) [][]Option {
 		l := make([]Option, width)
 		hasBuf, hasInv := false, false
 		for j := range l {
-			l[j] = Option{Peak: 10 + rng.Float64()*200, IsBuffer: rng.Intn(2) == 0, Tag: j}
+			l[j] = Option{Peak: 10 + rng.Float64()*200, IsBuffer: rng.Intn(2) == 0}
 			if l[j].IsBuffer {
 				hasBuf = true
 			} else {
@@ -37,8 +37,8 @@ func TestTwoSinksBalance(t *testing.T) {
 	// Two sinks, each can be a 100 µA buffer or a 100 µA inverter. The
 	// optimum splits them: max(100,100)=100 vs max(200,0)=200.
 	layers := [][]Option{
-		{{Peak: 100, IsBuffer: true, Tag: 0}, {Peak: 100, IsBuffer: false, Tag: 1}},
-		{{Peak: 100, IsBuffer: true, Tag: 0}, {Peak: 100, IsBuffer: false, Tag: 1}},
+		{{Peak: 100, IsBuffer: true}, {Peak: 100, IsBuffer: false}},
+		{{Peak: 100, IsBuffer: true}, {Peak: 100, IsBuffer: false}},
 	}
 	sol, err := Solve(context.Background(), layers, 0.5)
 	if err != nil {
@@ -56,9 +56,9 @@ func TestSizingPreferred(t *testing.T) {
 	// One sink: a small buffer (50) beats a big buffer (100) and a big
 	// inverter (80).
 	layers := [][]Option{{
-		{Peak: 100, IsBuffer: true, Tag: 0},
-		{Peak: 50, IsBuffer: true, Tag: 1},
-		{Peak: 80, IsBuffer: false, Tag: 2},
+		{Peak: 100, IsBuffer: true},
+		{Peak: 50, IsBuffer: true},
+		{Peak: 80, IsBuffer: false},
 	}}
 	sol, err := Solve(context.Background(), layers, 0.1)
 	if err != nil {
@@ -134,7 +134,7 @@ func TestErrors(t *testing.T) {
 func TestAllInvertersLayer(t *testing.T) {
 	// Degenerate but legal: a layer offering only inverters.
 	layers := [][]Option{
-		{{Peak: 60, IsBuffer: false, Tag: 0}, {Peak: 40, IsBuffer: false, Tag: 1}},
+		{{Peak: 60, IsBuffer: false}, {Peak: 40, IsBuffer: false}},
 	}
 	sol, err := Solve(context.Background(), layers, 0.5)
 	if err != nil {

@@ -20,17 +20,13 @@ import (
 )
 
 // Candidate is one (leaf, cell) assignment option, fully characterized:
-// the arrival time it induces and the four supply-current waveforms in
+// the arrival time it induces and its supply current per sampling group in
 // absolute time (clock source switches at t = 0).
 type Candidate struct {
-	Leaf clocktree.NodeID
-	Cell *cell.Cell
-	AT   float64 // leaf output arrival time under this assignment, ps
-
-	IDDRise waveform.Waveform // IDD when the source launches a rising edge
-	ISSRise waveform.Waveform
-	IDDFall waveform.Waveform // IDD when the source launches a falling edge
-	ISSFall waveform.Waveform
+	Leaf  clocktree.NodeID
+	Cell  *cell.Cell
+	AT    float64 // leaf output arrival time under this assignment, ps
+	Waves [NumGroups]waveform.Waveform
 }
 
 // Group selects one of the four (rail, source-edge) noise groups.
@@ -47,20 +43,6 @@ const (
 	NumGroups
 )
 
-// Wave returns the candidate's waveform for a group.
-func (c *Candidate) Wave(g Group) waveform.Waveform {
-	switch g {
-	case VDDRise:
-		return c.IDDRise
-	case GndRise:
-		return c.ISSRise
-	case VDDFall:
-		return c.IDDFall
-	default:
-		return c.ISSFall
-	}
-}
-
 // CandidateSet holds, per leaf, the characterized options from B ∪ I.
 type CandidateSet struct {
 	Mode   clocktree.Mode
@@ -68,11 +50,7 @@ type CandidateSet struct {
 }
 
 // BuildCandidates characterizes every (leaf, cell) pair of the tree
-// against the library in the given mode, per Observation 4: the leaf's own
-// load and input arrival are taken from the *initial* timing (re-assigning
-// a leaf leaves its siblings' delay/slew effectively unchanged), so each
-// leaf's options are independent — the property that makes the layered
-// MOSP formulation exact.
+// against the library in the given mode.
 //
 // Adjustable cells are characterized at zero bank steps; multi-mode
 // optimization adjusts steps separately.
@@ -80,36 +58,42 @@ func BuildCandidates(t *clocktree.Tree, lib *cell.Library, mode clocktree.Mode) 
 	tm := t.ComputeTiming(mode)
 	cs := &CandidateSet{Mode: mode, ByLeaf: make(map[clocktree.NodeID][]Candidate)}
 	for _, leaf := range t.Leaves() {
-		nd := t.Node(leaf)
-		vdd := mode.VDDOf(nd.Domain)
-		load := tm.Load[leaf]
-		slewIn := tm.SlewIn[leaf]
-		edgeAtRise := t.EdgeAtInput(leaf, cell.Rising) // independent of the leaf's own cell
 		var cands []Candidate
 		for _, c := range lib.Cells() {
-			atIn := tm.ATIn[leaf] + selfLoadShift(t, tm, mode, leaf, c)
-			iddR, issR := c.Currents(edgeAtRise, load, vdd, slewIn)
-			iddF, issF := c.Currents(edgeAtRise.Opposite(), load, vdd, slewIn)
-			cands = append(cands, Candidate{
-				Leaf: leaf, Cell: c,
-				AT:      atIn + c.Delay(load, vdd),
-				IDDRise: iddR.Shift(atIn), ISSRise: issR.Shift(atIn),
-				IDDFall: iddF.Shift(atIn), ISSFall: issF.Shift(atIn),
-			})
+			cands = append(cands, Characterize(t, tm, mode, leaf, c))
 		}
 		cs.ByLeaf[leaf] = cands
 	}
 	return cs
 }
 
-// SelfLoadShift returns the exact change of a leaf's *input* arrival time
+// Characterize computes one (leaf, cell) candidate in a mode, per
+// Observation 4: the leaf's own load and input arrival are taken from the
+// tree's timing tm in that mode (re-assigning a leaf leaves its siblings'
+// delay/slew effectively unchanged), so each leaf's options are
+// independent — the property that makes the layered MOSP formulation
+// exact.
+func Characterize(t *clocktree.Tree, tm *clocktree.Timing, mode clocktree.Mode, leaf clocktree.NodeID, c *cell.Cell) Candidate {
+	vdd := mode.VDDOf(t.Node(leaf).Domain)
+	load := tm.Load[leaf]
+	slewIn := tm.SlewIn[leaf]
+	edgeAtRise := t.EdgeAtInput(leaf, cell.Rising) // independent of the leaf's own cell
+	atIn := tm.ATIn[leaf] + selfLoadShift(t, tm, mode, leaf, c)
+	iddR, issR := c.Currents(edgeAtRise, load, vdd, slewIn)
+	iddF, issF := c.Currents(edgeAtRise.Opposite(), load, vdd, slewIn)
+	return Candidate{
+		Leaf: leaf, Cell: c,
+		AT: atIn + c.Delay(load, vdd),
+		Waves: [NumGroups]waveform.Waveform{
+			iddR.Shift(atIn), issR.Shift(atIn), iddF.Shift(atIn), issF.Shift(atIn),
+		},
+	}
+}
+
+// selfLoadShift returns the exact change of a leaf's *input* arrival time
 // caused by swapping its own cell for c: the candidate's input cap loads
 // both its incoming wire (Elmore term) and its parent's output (cell
 // delay term). Sibling-induced shifts remain unmodeled, per Observation 4.
-func SelfLoadShift(t *clocktree.Tree, tm *clocktree.Timing, mode clocktree.Mode, leaf clocktree.NodeID, c *cell.Cell) float64 {
-	return selfLoadShift(t, tm, mode, leaf, c)
-}
-
 func selfLoadShift(t *clocktree.Tree, tm *clocktree.Timing, mode clocktree.Mode, leaf clocktree.NodeID, c *cell.Cell) float64 {
 	nd := t.Node(leaf)
 	if nd.Parent == clocktree.NoNode {

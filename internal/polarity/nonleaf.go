@@ -29,8 +29,10 @@ type NonLeafResult struct {
 // feasible sets change under them) and is kept only when the golden
 // evaluated peak improves.
 //
-// Greedy: at most maxFlips internal nodes are flipped, best-first. The
-// input tree is not modified; apply with ApplyNonLeaf.
+// Greedy: at most maxFlips internal nodes are flipped, best-first. A flip
+// whose re-optimization fails is skipped as infeasible, unless ctx is done:
+// then its error is returned. The input tree is not modified; apply with
+// ApplyNonLeaf.
 func OptimizeWithNonLeafFlips(ctx context.Context, t *clocktree.Tree, fullLib *cell.Library, cfg Config, maxFlips int) (*NonLeafResult, error) {
 	if maxFlips < 0 {
 		return nil, fmt.Errorf("polarity: negative maxFlips")
@@ -74,6 +76,9 @@ func OptimizeWithNonLeafFlips(ctx context.Context, t *clocktree.Tree, fullLib *c
 			}
 			res, peak, err := evaluate(append(append([]clocktree.NodeID(nil), best.Flips...), id))
 			if err != nil {
+				if ctx.Err() != nil {
+					return nil, ctx.Err()
+				}
 				continue // flip made the instance infeasible; skip it
 			}
 			if peak < bestPeak-1e-9 {

@@ -2,10 +2,13 @@ package polarity
 
 import (
 	"context"
+	"errors"
+	"sync/atomic"
 	"testing"
 
 	"wavemin/internal/cell"
 	"wavemin/internal/clocktree"
+	"wavemin/internal/faultinject"
 )
 
 func nonLeafFixture(t *testing.T) (*clocktree.Tree, *cell.Library, Config) {
@@ -100,5 +103,35 @@ func TestInvertingTwin(t *testing.T) {
 	odd2.Drive = 3 // no INV_X3 in the library
 	if _, err := invertingTwin(lib, &odd2); err == nil {
 		t.Fatal("missing twin should error")
+	}
+}
+
+// TestNonLeafFlipsCanceled cancels the context on the first zone solve
+// after the base evaluation: the flip loop may treat a failed flip as
+// infeasible only while the context is live, so the cancellation must
+// surface as an error rather than as the unflipped result.
+func TestNonLeafFlipsCanceled(t *testing.T) {
+	tree, lib, cfg := nonLeafFixture(t)
+	var calls atomic.Int64
+	t.Cleanup(faultinject.Reset)
+	faultinject.Set(faultinject.SitePolarityZone, func() { calls.Add(1) })
+	if _, err := Optimize(context.Background(), tree, cfg); err != nil {
+		t.Fatal(err)
+	}
+	base := calls.Swap(0)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	faultinject.Set(faultinject.SitePolarityZone, func() {
+		if calls.Add(1) == base+1 {
+			cancel()
+		}
+	})
+	res, err := OptimizeWithNonLeafFlips(ctx, tree, lib, cfg, 2)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v with result %+v, want context.Canceled", err, res)
+	}
+	if calls.Load() <= base {
+		t.Fatalf("cancellation hook never fired after the base evaluation (%d zone solves)", calls.Load())
 	}
 }

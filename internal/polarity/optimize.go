@@ -3,7 +3,6 @@ package polarity
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 
 	"wavemin/internal/cell"
@@ -13,6 +12,7 @@ import (
 	"wavemin/internal/obs"
 	"wavemin/internal/parallel"
 	"wavemin/internal/peakmin"
+	"wavemin/internal/waveform"
 	"wavemin/internal/zonecache"
 )
 
@@ -61,10 +61,6 @@ type Config struct {
 	// the Observation 1 ablation: the optimizer then sees only leaf noise,
 	// like the prior work the paper improves on.
 	IgnoreNonLeaf bool
-	// MaxLabels caps the per-layer Pareto label set in the ClkWaveMin
-	// solver; big clustered zones degrade gracefully instead of blowing
-	// up. 0 = 4000.
-	MaxLabels int
 	// Workers bounds the solver goroutines fanned out over the interval ×
 	// zone grid (every (interval, zone) MOSP instance is independent —
 	// Fig. 8 is embarrassingly parallel). 0 = GOMAXPROCS, 1 = serial.
@@ -80,6 +76,11 @@ type Config struct {
 	// already cheap).
 	Zones *zonecache.Session
 }
+
+// MaxLabels caps the per-layer Pareto label set of every ClkWaveMin and
+// ClkWaveMin-M zone solve, so big clustered zones degrade gracefully
+// instead of blowing up.
+const MaxLabels = 4000
 
 // ZoneOutcome reports one zone's optimized peak estimate.
 type ZoneOutcome struct {
@@ -116,9 +117,6 @@ func Optimize(ctx context.Context, t *clocktree.Tree, cfg Config) (*Result, erro
 	}
 	if cfg.Samples <= 0 {
 		cfg.Samples = 4
-	}
-	if cfg.MaxLabels <= 0 {
-		cfg.MaxLabels = 4000
 	}
 	mode := cfg.Mode
 	if mode.Name == "" {
@@ -272,23 +270,27 @@ func solveZone(
 				return zoneSolved{picks: sol.Picks, peak: sol.Peak, reused: true}, nil
 			}
 		}
-		zi, err := BuildZoneInstance(t, tm, cs, zone, iv, leafIndex, cfg.Samples)
-		if err != nil {
-			return zoneSolved{}, err
-		}
-		if zsp := obs.FromContext(ctx); zsp != nil {
-			var cands int64
-			for _, l := range zi.Graph.Layers {
-				cands += int64(len(l))
+		base := Baseline(t, tm, zone.NonLeaves)
+		feasible := make([][]int, len(zone.Leaves))
+		layers := make([][][]waveform.Waveform, len(zone.Leaves))
+		var cands int64
+		for li, leaf := range zone.Leaves {
+			feasible[li] = iv.Feasible[leafIndex[leaf]]
+			layers[li] = make([][]waveform.Waveform, len(feasible[li]))
+			for vi, ci := range feasible[li] {
+				layers[li][vi] = cs.ByLeaf[leaf][ci].Waves[:]
 			}
-			zsp.Count("zone.candidates", cands)
+			cands += int64(len(feasible[li]))
 		}
+		obs.FromContext(ctx).Count("zone.candidates", cands)
+		graph := ZoneGraph(cfg.Samples, base[:], layers)
 		var sol mosp.Solution
+		var err error
 		switch cfg.Algorithm {
 		case ClkWaveMin:
-			sol, err = mosp.Solve(ctx, zi.Graph, mosp.Options{Epsilon: cfg.Epsilon, MaxLabels: cfg.MaxLabels})
+			sol, err = mosp.Solve(ctx, graph, mosp.Options{Epsilon: cfg.Epsilon, MaxLabels: MaxLabels})
 		case ClkWaveMinF:
-			sol, err = mosp.SolveFast(ctx, zi.Graph)
+			sol, err = mosp.SolveFast(ctx, graph)
 		default:
 			return zoneSolved{}, fmt.Errorf("polarity: unknown algorithm %v", cfg.Algorithm)
 		}
@@ -296,8 +298,8 @@ func solveZone(
 			return zoneSolved{}, err
 		}
 		picks := make([]int, len(sol.Picks))
-		for li, pi := range sol.Picks {
-			picks[li] = zi.Graph.Layers[li][pi].Tag
+		for li, vi := range sol.Picks {
+			picks[li] = feasible[li][vi]
 		}
 		if zk != nil {
 			cfg.Zones.Store(key, &zonecache.Solution{Picks: picks, Peak: sol.Max})
@@ -339,25 +341,19 @@ func replayValid(sol *zonecache.Solution, cs *CandidateSet, zone Zone, iv *Inter
 func solveZonePeakMin(
 	ctx context.Context, cs *CandidateSet, zone Zone, iv *Interval, leafIndex map[clocktree.NodeID]int,
 ) (picks []int, peak float64, err error) {
+	feasible := make([][]int, len(zone.Leaves))
 	layers := make([][]peakmin.Option, len(zone.Leaves))
-	tags := make([][]int, len(zone.Leaves))
 	for li, leaf := range zone.Leaves {
-		gi := leafIndex[leaf]
-		cands := cs.ByLeaf[leaf]
-		for _, ci := range iv.Feasible[gi] {
-			c := &cands[ci]
+		feasible[li] = iv.Feasible[leafIndex[leaf]]
+		for _, ci := range feasible[li] {
+			c := &cs.ByLeaf[leaf][ci]
 			p := 0.0
-			for g := Group(0); g < NumGroups; g++ {
-				if pk, _ := c.Wave(g).Peak(); pk > p {
+			for _, w := range c.Waves {
+				if pk, _ := w.Peak(); pk > p {
 					p = pk
 				}
 			}
-			layers[li] = append(layers[li], peakmin.Option{
-				Peak:     p,
-				IsBuffer: !c.Cell.Inverting(),
-				Tag:      ci,
-			})
-			tags[li] = append(tags[li], ci)
+			layers[li] = append(layers[li], peakmin.Option{Peak: p, IsBuffer: !c.Cell.Inverting()})
 		}
 		if len(layers[li]) == 0 {
 			return nil, 0, fmt.Errorf("polarity: leaf %d infeasible in interval", leaf)
@@ -368,8 +364,8 @@ func solveZonePeakMin(
 		return nil, 0, err
 	}
 	picks = make([]int, len(sol.Picks))
-	for li, pi := range sol.Picks {
-		picks[li] = tags[li][pi]
+	for li, vi := range sol.Picks {
+		picks[li] = feasible[li][vi]
 	}
 	return picks, sol.Max, nil
 }
@@ -387,38 +383,42 @@ func EstimatePeak(t *clocktree.Tree, cfg Config, a Assignment) (float64, error) 
 	}
 	cs := BuildCandidates(t, cfg.Library, mode)
 	tm := t.ComputeTiming(mode)
-	zones := LeafZones(PartitionZones(t, cfg.ZoneSize))
-	leafIndex := make(map[clocktree.NodeID]int)
-	for i, leaf := range cs.Leaves() {
-		leafIndex[leaf] = i
-	}
-	// A permissive interval covering all candidates (estimation only).
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, cands := range cs.ByLeaf {
-		for _, c := range cands {
-			lo = math.Min(lo, c.AT)
-			hi = math.Max(hi, c.AT)
-		}
-	}
-	leaves := cs.Leaves()
-	iv := &Interval{Lo: lo, Hi: hi, Feasible: make([][]int, len(leaves))}
-	for li, leaf := range leaves {
-		for ci := range cs.ByLeaf[leaf] {
-			iv.Feasible[li] = append(iv.Feasible[li], ci)
-		}
-	}
 	worst := 0.0
-	for _, zone := range zones {
-		zi, err := BuildZoneInstance(t, tm, cs, zone, iv, leafIndex, cfg.Samples)
-		if err != nil {
-			return 0, err
+	for _, zone := range LeafZones(PartitionZones(t, cfg.ZoneSize)) {
+		// Every candidate is a vertex, so the graph's sample times are
+		// those of a permissive interval that admits them all.
+		layers := make([][][]waveform.Waveform, len(zone.Leaves))
+		for li, leaf := range zone.Leaves {
+			for ci := range cs.ByLeaf[leaf] {
+				layers[li] = append(layers[li], cs.ByLeaf[leaf][ci].Waves[:])
+			}
 		}
-		p, err := zi.EstimateZonePeak(cs, a)
-		if err != nil {
-			return 0, err
+		base := Baseline(t, tm, zone.NonLeaves)
+		graph := ZoneGraph(cfg.Samples, base[:], layers)
+		run := append([]float64(nil), graph.Baseline...)
+		for li, leaf := range zone.Leaves {
+			chosen := a[leaf]
+			if chosen == nil {
+				return 0, fmt.Errorf("polarity: leaf %d unassigned", leaf)
+			}
+			vi := -1
+			for ci := range cs.ByLeaf[leaf] {
+				if cs.ByLeaf[leaf][ci].Cell == chosen {
+					vi = ci
+					break
+				}
+			}
+			if vi < 0 {
+				return 0, fmt.Errorf("polarity: leaf %d cell %s not characterized", leaf, chosen.Name)
+			}
+			for s, w := range graph.Layers[li][vi].Weight {
+				run[s] += w
+			}
 		}
-		if p > worst {
-			worst = p
+		for _, v := range run {
+			if v > worst {
+				worst = v
+			}
 		}
 	}
 	return worst, nil

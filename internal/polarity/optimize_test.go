@@ -269,8 +269,8 @@ func TestCandidateWaveGroups(t *testing.T) {
 	for _, c := range cs.ByLeaf[leaf] {
 		// A non-inverting candidate's VDD-rise peak must exceed its
 		// VDD-fall peak; inverting mirrored.
-		pr, _ := c.Wave(VDDRise).Peak()
-		pf, _ := c.Wave(VDDFall).Peak()
+		pr, _ := c.Waves[VDDRise].Peak()
+		pf, _ := c.Waves[VDDFall].Peak()
 		if c.Cell.Inverting() && pr >= pf {
 			t.Errorf("%s: inverting candidate P+ %g ≥ P- %g", c.Cell.Name, pr, pf)
 		}
@@ -290,7 +290,7 @@ func TestCandidateArrivalModel(t *testing.T) {
 	cs := BuildCandidates(tree, lib, mode)
 	for _, leaf := range tree.Leaves() {
 		for _, c := range cs.ByLeaf[leaf] {
-			want := tm.ATIn[leaf] + SelfLoadShift(tree, tm, mode, leaf, c.Cell) +
+			want := tm.ATIn[leaf] + selfLoadShift(tree, tm, mode, leaf, c.Cell) +
 				c.Cell.Delay(tm.Load[leaf], mode.VDDOf(tree.Node(leaf).Domain))
 			if math.Abs(c.AT-want) > 1e-9 {
 				t.Fatalf("leaf %d cell %s: AT %g, want %g", leaf, c.Cell.Name, c.AT, want)

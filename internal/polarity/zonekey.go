@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"wavemin/internal/canon"
-	"wavemin/internal/cell"
 	"wavemin/internal/clocktree"
 	"wavemin/internal/waveform"
 	"wavemin/internal/zonecache"
@@ -17,7 +16,7 @@ import (
 //
 // The key covers, byte for byte, everything the per-zone solver sees:
 //
-//   - per feasible candidate: its tag index, its cell name, the arrival
+//   - per feasible candidate: its candidate index, its cell name, the arrival
 //     time it induces, and all four characterized supply-current waveforms
 //     (which fold in the leaf's load, slew, upstream timing, and supply);
 //   - per zone leaf, in the zone's canonical (ID-sorted) order: the leaf's
@@ -65,7 +64,7 @@ func NewZoneKeyer(
 	p = append(p, " eps="...)
 	p = append(p, canon.Float(cfg.Epsilon)...)
 	p = append(p, " maxlabels="...)
-	p = canon.AppendInt(p, cfg.MaxLabels)
+	p = canon.AppendInt(p, MaxLabels)
 	p = append(p, " samples="...)
 	p = canon.AppendInt(p, cfg.Samples)
 	p = append(p, " mode="...)
@@ -113,8 +112,8 @@ func NewZoneKeyer(
 			buf = buf[:0]
 			buf = appendString(buf, c.Cell.Name)
 			buf = canon.AppendFloat(buf, c.AT)
-			for g := Group(0); g < NumGroups; g++ {
-				buf = appendWave(buf, c.Wave(g))
+			for _, w := range c.Waves {
+				buf = appendWave(buf, w)
 			}
 			ds[ci] = sha256.Sum256(buf)
 		}
@@ -124,12 +123,9 @@ func NewZoneKeyer(
 	for _, z := range zones {
 		buf = buf[:0]
 		for _, id := range z.NonLeaves {
-			iddR, issR := t.NodeCurrents(tm, id, cell.Rising)
-			iddF, issF := t.NodeCurrents(tm, id, cell.Falling)
-			buf = appendWave(buf, iddR)
-			buf = appendWave(buf, issR)
-			buf = appendWave(buf, iddF)
-			buf = appendWave(buf, issF)
+			for _, w := range NodeWaves(t, tm, id) {
+				buf = appendWave(buf, w)
+			}
 		}
 		zk.baseDigest[z.Key] = sha256.Sum256(buf)
 	}

@@ -13,8 +13,8 @@ import (
 )
 
 // zoneKeyConfig mirrors the knobs Optimize would hand NewZoneKeyer, with
-// the defaults Optimize fills in (Samples, MaxLabels) made explicit so the
-// helper below can call the keyer directly.
+// the Samples default Optimize fills in made explicit so the helper below
+// can call the keyer directly.
 func zoneKeyConfig(lib *cell.Library) Config {
 	sub, err := lib.Restrict("BUF_X8", "BUF_X16", "INV_X8", "INV_X16")
 	if err != nil {
@@ -22,7 +22,7 @@ func zoneKeyConfig(lib *cell.Library) Config {
 	}
 	return Config{
 		Library: sub, Kappa: 20, Samples: 8, Epsilon: 0.01,
-		Algorithm: ClkWaveMin, ZoneSize: 15, MaxLabels: 4000,
+		Algorithm: ClkWaveMin, ZoneSize: 15,
 	}
 }
 

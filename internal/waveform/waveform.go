@@ -266,21 +266,6 @@ func (w Waveform) Peak() (peak, at float64) {
 	return peak, at
 }
 
-// PeakIn returns the maximum current within [t0, t1] (inclusive) and its
-// time. Breakpoints inside the window and the window edges are candidates.
-func (w Waveform) PeakIn(t0, t1 float64) (peak, at float64) {
-	peak, at = w.At(t0), t0
-	if v := w.At(t1); v > peak {
-		peak, at = v, t1
-	}
-	for _, p := range w.pts {
-		if p.T > t0 && p.T < t1 && p.I > peak {
-			peak, at = p.I, p.T
-		}
-	}
-	return peak, at
-}
-
 // Charge integrates the waveform over all time (trapezoidal, exact for
 // PWL). With µA and ps conventions the result is in femto-coulombs × 10⁻³
 // (1 µA·ps = 10⁻¹⁸ C); callers only use it for relative comparisons.
@@ -291,37 +276,6 @@ func (w Waveform) Charge() float64 {
 		q += (a.I + b.I) / 2 * (b.T - a.T)
 	}
 	return q
-}
-
-// SampleUniform evaluates the waveform on n uniformly spaced points across
-// [t0, t1], inclusive of both ends. n must be at least 2.
-func (w Waveform) SampleUniform(t0, t1 float64, n int) []Point {
-	if n < 2 {
-		panic("waveform: SampleUniform needs n >= 2")
-	}
-	out := make([]Point, n)
-	step := (t1 - t0) / float64(n-1)
-	for i := range out {
-		t := t0 + float64(i)*step
-		out[i] = Point{T: t, I: w.At(t)}
-	}
-	return out
-}
-
-// Resample returns a waveform whose breakpoints are exactly the given
-// times, evaluated from w. This loses information unless every breakpoint
-// of w is included. Used to place characterization data on a shared grid.
-func (w Waveform) Resample(times []float64) Waveform {
-	ts := append([]float64(nil), times...)
-	sort.Float64s(ts)
-	pts := make([]Point, 0, len(ts))
-	for i, t := range ts {
-		if i > 0 && t == ts[i-1] {
-			continue
-		}
-		pts = append(pts, Point{T: t, I: w.At(t)})
-	}
-	return Waveform{pts: pts}
 }
 
 // Clip returns the waveform restricted to [t0, t1], with exact boundary

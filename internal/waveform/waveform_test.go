@@ -184,20 +184,11 @@ func TestSumMatchesPairwiseAdd(t *testing.T) {
 	}
 }
 
-func TestPeakAndPeakIn(t *testing.T) {
+func TestPeak(t *testing.T) {
 	w := Sum(Triangle(0, 1, 1, 10), Triangle(3, 1, 1, 20))
 	p, at := w.Peak()
 	if !almostEq(p, 20, 1e-12) || !almostEq(at, 4, 1e-12) {
 		t.Fatalf("Peak = (%g,%g), want (20,4)", p, at)
-	}
-	p, at = w.PeakIn(0, 2)
-	if !almostEq(p, 10, 1e-12) || !almostEq(at, 1, 1e-12) {
-		t.Fatalf("PeakIn(0,2) = (%g,%g), want (10,1)", p, at)
-	}
-	// Window edge is a candidate even if not a breakpoint.
-	p, _ = w.PeakIn(3.5, 3.7)
-	if !almostEq(p, w.At(3.7), 1e-12) {
-		t.Fatalf("PeakIn edge: got %g want %g", p, w.At(3.7))
 	}
 }
 
@@ -215,31 +206,6 @@ func TestClip(t *testing.T) {
 	}
 	if !w.Clip(3, 1).IsZero() {
 		t.Error("inverted clip window should be zero waveform")
-	}
-}
-
-func TestResample(t *testing.T) {
-	w := Triangle(0, 1, 1, 10)
-	r := w.Resample([]float64{0, 0.5, 1, 1.5, 2, 1}) // includes dup, unsorted
-	if r.Len() != 5 {
-		t.Fatalf("resample kept %d pts, want 5", r.Len())
-	}
-	if got := r.At(0.5); !almostEq(got, 5, 1e-12) {
-		t.Fatalf("resample value: %g want 5", got)
-	}
-}
-
-func TestSampleUniform(t *testing.T) {
-	w := Triangle(0, 1, 1, 10)
-	pts := w.SampleUniform(0, 2, 5)
-	if len(pts) != 5 {
-		t.Fatalf("got %d pts", len(pts))
-	}
-	if pts[0].T != 0 || pts[4].T != 2 {
-		t.Fatal("sample ends wrong")
-	}
-	if !almostEq(pts[2].I, 10, 1e-12) {
-		t.Fatalf("midpoint: %g want 10", pts[2].I)
 	}
 }
 

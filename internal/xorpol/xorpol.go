@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 
-	"wavemin/internal/cell"
 	"wavemin/internal/clocktree"
 	"wavemin/internal/mosp"
 	"wavemin/internal/obs"
@@ -29,15 +28,16 @@ import (
 type Config struct {
 	Samples  int     // |S| per mode (split over four rail/edge groups)
 	ZoneSize float64 // µm; 0 = polarity.DefaultZoneSize
-	// XOROverheadFrac scales the XOR gate's own current pulse relative to
-	// the leaf's main pulse peak (default 0.08).
-	XOROverheadFrac float64
 	// Workers bounds the goroutines fanned out over the mode × zone grid
 	// (every (mode, zone) instance is independent — modes decouple by
 	// construction here). 0 = GOMAXPROCS, 1 = serial; results are
 	// identical for every worker count.
 	Workers int
 }
+
+// xorOverheadFrac scales the XOR gate's own current pulse relative to the
+// leaf's main pulse peak.
+const xorOverheadFrac = 0.08
 
 // Result is a per-mode polarity program.
 type Result struct {
@@ -61,13 +61,6 @@ func Optimize(ctx context.Context, t *clocktree.Tree, modes []clocktree.Mode, cf
 	if cfg.Samples <= 0 {
 		cfg.Samples = 16
 	}
-	if cfg.XOROverheadFrac == 0 {
-		cfg.XOROverheadFrac = 0.08
-	}
-	perGroup := cfg.Samples / int(polarity.NumGroups)
-	if perGroup < 1 {
-		perGroup = 1
-	}
 	res := &Result{
 		Positive:    make(map[clocktree.NodeID]map[string]bool),
 		PeakPerMode: make(map[string]float64),
@@ -84,16 +77,12 @@ func Optimize(ctx context.Context, t *clocktree.Tree, modes []clocktree.Mode, cf
 	for mi, mode := range modes {
 		timings[mi] = t.ComputeTiming(mode)
 	}
-	type zoneOut struct {
-		positive []bool // per zone leaf
-		peak     float64
-	}
 	ctx, sp := obs.Start(ctx, "xorpol")
 	defer sp.End()
 	sp.Count("xorpol.modes", int64(len(modes)))
 	sp.Count("xorpol.zones", int64(len(zones)))
 	nz := len(zones)
-	solved := make([]zoneOut, len(modes)*nz)
+	solved := make([]modeZoneOut, len(modes)*nz)
 	ferr := parallel.ForEach(ctx, cfg.Workers, len(solved), func(k int) error {
 		mi, zi := k/nz, k%nz
 		// Slot-indexed sub-span on the flat (mode, zone) index so the
@@ -105,11 +94,11 @@ func Optimize(ctx context.Context, t *clocktree.Tree, modes []clocktree.Mode, cf
 			zsp.Count("zone.leaves", int64(len(zones[zi].Leaves)))
 			zctx = obs.WithSpan(ctx, zsp)
 		}
-		out, err := solveModeZone(zctx, t, timings[mi], &zones[zi], cfg, perGroup)
+		out, err := solveModeZone(zctx, t, timings[mi], &zones[zi], cfg.Samples)
 		if err != nil {
 			return err
 		}
-		solved[k] = zoneOut{positive: out.positive, peak: out.peak}
+		solved[k] = out
 		return nil
 	})
 	if ferr != nil {
@@ -143,68 +132,36 @@ type modeZoneOut struct {
 // Runs on worker goroutines; the tree and timing are read-only here.
 func solveModeZone(
 	ctx context.Context, t *clocktree.Tree, tm *clocktree.Timing,
-	zone *polarity.Zone, cfg Config, perGroup int,
+	zone *polarity.Zone, samples int,
 ) (modeZoneOut, error) {
-	// Baseline: non-leaf currents plus every leaf's XOR overhead
-	// (the XOR switches in both polarities).
-	var base [4]waveform.Waveform
-	for _, id := range zone.NonLeaves {
-		iddR, issR := t.NodeCurrents(tm, id, cell.Rising)
-		iddF, issF := t.NodeCurrents(tm, id, cell.Falling)
-		base[0] = waveform.Add(base[0], iddR)
-		base[1] = waveform.Add(base[1], issR)
-		base[2] = waveform.Add(base[2], iddF)
-		base[3] = waveform.Add(base[3], issF)
-	}
-	// Per-leaf option waveforms: keep (parity as built) or flip
-	// (swap the edges), plus the XOR overhead on the baseline.
-	type opt struct{ w [4]waveform.Waveform }
-	options := make([][2]opt, len(zone.Leaves))
+	// Baseline: non-leaf currents plus every leaf's XOR overhead (the XOR
+	// switches in both polarities). Per leaf, vertex 0 keeps the parity as
+	// built and vertex 1 flips it (swaps the edges).
+	base := polarity.Baseline(t, tm, zone.NonLeaves)
+	layers := make([][][]waveform.Waveform, len(zone.Leaves))
 	for li, leaf := range zone.Leaves {
-		iddR, issR := t.NodeCurrents(tm, leaf, cell.Rising)
-		iddF, issF := t.NodeCurrents(tm, leaf, cell.Falling)
-		keep := opt{w: [4]waveform.Waveform{iddR, issR, iddF, issF}}
-		flip := opt{w: [4]waveform.Waveform{iddF, issF, iddR, issR}}
-		options[li] = [2]opt{keep, flip}
-		pk, _ := iddR.Peak()
-		if p2, _ := issR.Peak(); p2 > pk {
+		keep := polarity.NodeWaves(t, tm, leaf)
+		flip := []waveform.Waveform{
+			keep[polarity.VDDFall], keep[polarity.GndFall], keep[polarity.VDDRise], keep[polarity.GndRise],
+		}
+		layers[li] = [][]waveform.Waveform{keep[:], flip}
+		pk, _ := keep[polarity.VDDRise].Peak()
+		if p2, _ := keep[polarity.GndRise].Peak(); p2 > pk {
 			pk = p2
 		}
-		over := xorPulse(tm, leaf, pk*cfg.XOROverheadFrac)
-		for g := 0; g < 4; g++ {
+		over := xorPulse(tm, leaf, pk*xorOverheadFrac)
+		for g := range base {
 			base[g] = waveform.Add(base[g], over)
 		}
 	}
-	// Sample sets per group from everything in play.
-	var samples [4]waveform.SampleSet
-	for g := 0; g < 4; g++ {
-		ws := []waveform.Waveform{base[g]}
-		for li := range options {
-			ws = append(ws, options[li][0].w[g], options[li][1].w[g])
-		}
-		samples[g] = waveform.HotSpots(perGroup, ws...)
-	}
-	vec := func(w [4]waveform.Waveform) []float64 {
-		var out []float64
-		for g := 0; g < 4; g++ {
-			out = append(out, samples[g].Vector(w[g])...)
-		}
-		return out
-	}
-	g := &mosp.Graph{Baseline: vec(base)}
-	for li := range options {
-		g.Layers = append(g.Layers, []mosp.Vertex{
-			{Weight: vec(options[li][0].w), Tag: 0},
-			{Weight: vec(options[li][1].w), Tag: 1},
-		})
-	}
-	sol, err := mosp.Solve(ctx, g, mosp.Options{Epsilon: 0.01})
+	graph := polarity.ZoneGraph(samples, base[:], layers)
+	sol, err := mosp.Solve(ctx, graph, mosp.Options{Epsilon: 0.01})
 	if err != nil {
 		return modeZoneOut{}, err
 	}
 	out := modeZoneOut{positive: make([]bool, len(zone.Leaves)), peak: sol.Max}
 	for li, leaf := range zone.Leaves {
-		out.positive[li] = g.Layers[li][sol.Picks[li]].Tag == 0 == t.PolarityOf(leaf)
+		out.positive[li] = sol.Picks[li] == 0 == t.PolarityOf(leaf)
 	}
 	return out, nil
 }
