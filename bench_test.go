@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -474,6 +475,40 @@ func BenchmarkPerturbAndTiming(b *testing.B) {
 			b.Fatal(err)
 		}
 		p.Seed++
+	}
+}
+
+// BenchmarkPeakCurrent times the whole-tree peak evaluation — the golden
+// scalar every Measure, yield sample and Monte Carlo instance computes —
+// on a paper circuit and on a generated 2,048-leaf tree.
+func BenchmarkPeakCurrent(b *testing.B) {
+	d, err := Benchmark("s35932")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	sinks := make([]cts.Sink, 2048)
+	for i := range sinks {
+		sinks[i] = cts.Sink{X: rng.Float64() * 900, Y: rng.Float64() * 900, Cap: 4 + 8*rng.Float64()}
+	}
+	gen, err := cts.Synthesize(sinks, cell.DefaultLibrary(), cts.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		tree *clocktree.Tree
+	}{{"s35932", d.Tree}, {"gen2048", gen}} {
+		b.Run(c.name, func(b *testing.B) {
+			tm := c.tree.ComputeTiming(clocktree.NominalMode)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if c.tree.PeakCurrent(tm) <= 0 {
+					b.Fatal("non-positive peak")
+				}
+			}
+		})
 	}
 }
 

@@ -8,10 +8,13 @@ import (
 	"wavemin/internal/canon"
 )
 
-// cacheKeyFormat versions the canonical request encoding. Bump it whenever
-// the canonical form of any section changes, so stale cache entries from an
-// older encoding can never alias a new request.
-const cacheKeyFormat = "wavemin-cachekey-v1"
+// cacheKeyFormat versions the canonical request encoding and the evaluator
+// whose results are stored under it. Bump it whenever the canonical form
+// of any section changes, so stale cache entries from an older encoding
+// can never alias a new request, and whenever the same request's Result
+// bytes change, so an older evaluator's results are never replayed (v2:
+// peaks from PeakCurrent's slope-event sweep).
+const cacheKeyFormat = "wavemin-cachekey-v2"
 
 // CacheKey returns the content hash of the optimization problem "this
 // design's tree, in these modes, under this configuration" in canonical

@@ -261,18 +261,27 @@ func (c *Cell) outputRises(e Edge) bool {
 	return e == Rising
 }
 
-// Currents returns the IDD and ISS waveforms drawn from the VDD and Gnd
-// rails when the given input edge arrives at t = 0, for the given load,
-// supply, and input slew. This is the behavioural equivalent of the
-// paper's Fig. 7 characterization pulse.
+// Pulse is one triangular supply-current pulse: it starts at T0, rises
+// linearly to Peak over Rise, and decays linearly to zero over Fall (ps,
+// µA) — the behavioural stand-in for one CMOS stage's supply spike.
+type Pulse struct{ T0, Rise, Fall, Peak float64 }
+
+// Pulses returns the triangular pulses a cell draws from the VDD (idd) and
+// Gnd (iss) rails when the given input edge arrives at t = 0, for the
+// given load, supply, and input slew: n pulses per rail, n being 1 or 2
+// and depending only on the cell and the supply, never on the edge.
+// This is the one pulse model of the package — Currents draws exactly
+// these triangles, and a whole-tree peak can sweep them without building
+// any waveform.
 //
 // Shape: the output stage contributes a triangle of area Q = C·VDD on the
 // rail it switches through (IDD when the output rises, ISS when it falls),
 // peaking near the propagation delay. The opposite rail sees a crowbar
 // triangle of CrowbarFr the height. Two-stage cells (BUF/ADB) additionally
 // put their first-stage pulse — which switches the *opposite* way — on the
-// other rail at roughly half the delay. Input slew widens the pulses.
-func (c *Cell) Currents(e Edge, load, vdd, slewIn float64) (idd, iss waveform.Waveform) {
+// other rail at roughly half the delay, with its crowbar on the first
+// rail. Input slew widens the pulses.
+func (c *Cell) Pulses(e Edge, load, vdd, slewIn float64) (idd, iss [2]Pulse, n int) {
 	if c.Table != nil {
 		if tp, ok := c.Table[vdd]; ok {
 			// Table-pinned cell: single triangles with exactly the
@@ -286,8 +295,9 @@ func (c *Cell) Currents(e Edge, load, vdd, slewIn float64) (idd, iss waveform.Wa
 			if e == Falling {
 				iddPeak, issPeak = tp.PMin, tp.PPlus
 			}
-			return waveform.Triangle(start, rise, fall, iddPeak),
-				waveform.Triangle(start, rise, fall, issPeak)
+			idd[0] = Pulse{T0: start, Rise: rise, Fall: fall, Peak: iddPeak}
+			iss[0] = Pulse{T0: start, Rise: rise, Fall: fall, Peak: issPeak}
+			return idd, iss, 1
 		}
 	}
 	outRises := c.outputRises(e)
@@ -296,32 +306,46 @@ func (c *Cell) Currents(e Edge, load, vdd, slewIn float64) (idd, iss waveform.Wa
 	peak := 0.8 * 2 * c.switchedCharge(load, vdd) / w * vddCurrentFactor(vdd)
 	rise, fall := 0.4*w, 0.6*w
 	start := d - rise
-	main := waveform.Triangle(start, rise, fall, peak)
-	crow := waveform.Triangle(start, rise, fall, peak*c.CrowbarFr)
-
+	main := Pulse{T0: start, Rise: rise, Fall: fall, Peak: peak}
+	crow := Pulse{T0: start, Rise: rise, Fall: fall, Peak: peak * c.CrowbarFr}
 	if outRises {
-		idd, iss = main, crow
+		idd[0], iss[0] = main, crow
 	} else {
-		idd, iss = crow, main
+		idd[0], iss[0] = crow, main
 	}
+	if c.Kind != Buf && c.Kind != ADB {
+		return idd, iss, 1
+	}
+	// First stage: drives the output stage's input cap the opposite way
+	// (its own pull-up/pull-down asymmetry included).
+	s1 := math.Max(1, c.Drive/4)
+	q1 := 1000 * (c.CinPerX*c.Drive + c.CparPerX*s1) * vdd
+	w1 := math.Max(2.0, 2.2*(c.RoutUnit/s1)*(c.CinPerX*c.Drive+c.CparPerX*s1)*vddDelayFactor(vdd)*edgeWidthFactor(e == Falling)) + 0.3*slewIn
+	p1 := 0.8 * 2 * q1 / w1 * vddCurrentFactor(vdd)
+	st1 := Pulse{T0: math.Max(0, d/2-0.4*w1), Rise: 0.4 * w1, Fall: 0.6 * w1, Peak: p1}
+	st1crow := st1
+	st1crow.Peak = p1 * c.CrowbarFr
+	// Rising input → stage-1 output falls → stage-1 draws ISS.
+	if e == Rising {
+		idd[1], iss[1] = st1crow, st1
+	} else {
+		idd[1], iss[1] = st1, st1crow
+	}
+	return idd, iss, 2
+}
 
-	if c.Kind == Buf || c.Kind == ADB {
-		// First stage: drives the output stage's input cap the opposite
-		// way (its own pull-up/pull-down asymmetry included).
-		s1 := math.Max(1, c.Drive/4)
-		q1 := 1000 * (c.CinPerX*c.Drive + c.CparPerX*s1) * vdd
-		w1 := math.Max(2.0, 2.2*(c.RoutUnit/s1)*(c.CinPerX*c.Drive+c.CparPerX*s1)*vddDelayFactor(vdd)*edgeWidthFactor(e == Falling)) + 0.3*slewIn
-		p1 := 0.8 * 2 * q1 / w1 * vddCurrentFactor(vdd)
-		start1 := math.Max(0, d/2-0.4*w1)
-		st1 := waveform.Triangle(start1, 0.4*w1, 0.6*w1, p1)
-		// Rising input → stage-1 output falls → stage-1 draws ISS.
-		if e == Rising {
-			iss = waveform.Add(iss, st1)
-			idd = waveform.Add(idd, st1.Scale(c.CrowbarFr))
-		} else {
-			idd = waveform.Add(idd, st1)
-			iss = waveform.Add(iss, st1.Scale(c.CrowbarFr))
-		}
+// Currents returns the IDD and ISS waveforms drawn from the VDD and Gnd
+// rails when the given input edge arrives at t = 0, for the given load,
+// supply, and input slew: the Pulses triangles, superposed per rail. This
+// is the behavioural equivalent of the paper's Fig. 7 characterization
+// pulse.
+func (c *Cell) Currents(e Edge, load, vdd, slewIn float64) (idd, iss waveform.Waveform) {
+	ip, sp, n := c.Pulses(e, load, vdd, slewIn)
+	tri := func(p Pulse) waveform.Waveform { return waveform.Triangle(p.T0, p.Rise, p.Fall, p.Peak) }
+	idd, iss = tri(ip[0]), tri(sp[0])
+	if n == 2 {
+		idd = waveform.Add(idd, tri(ip[1]))
+		iss = waveform.Add(iss, tri(sp[1]))
 	}
 	return idd, iss
 }

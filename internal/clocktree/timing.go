@@ -27,6 +27,28 @@ func (m Mode) VDDOf(domain string) float64 {
 	return NominalVDD
 }
 
+// maxSupply is the highest supply voltage a mode may declare, volts.
+const maxSupply = 10.0
+
+// Validate rejects a supply no circuit runs at: NaN, ±Inf, ≤ 0 V or above
+// 10 V. Such a supply turns delays and arrival times NaN, and nothing
+// downstream can evaluate those. With several bad domains it names the
+// first in sorted order, so the error does not vary from run to run.
+func (m Mode) Validate() error {
+	bad, found := "", false
+	for dom, v := range m.Supplies {
+		if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 || v > maxSupply {
+			if !found || dom < bad {
+				bad, found = dom, true
+			}
+		}
+	}
+	if found {
+		return fmt.Errorf("clocktree: mode %q: domain %q has implausible supply %g V", m.Name, bad, m.Supplies[bad])
+	}
+	return nil
+}
+
 // Timing holds the per-node timing solution of one tree in one mode.
 // Arrays are indexed by NodeID.
 type Timing struct {

@@ -3,6 +3,7 @@ package clocktree
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -356,5 +357,31 @@ func TestPropertySkewShiftInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestModeValidate: a supply is accepted in (0, 10] V and nowhere else,
+// and the error names the first bad domain in sorted order.
+func TestModeValidate(t *testing.T) {
+	for _, v := range []float64{0.9, 1.1, 10} {
+		m := Mode{Name: "m", Supplies: map[string]float64{"core": v}}
+		if err := m.Validate(); err != nil {
+			t.Errorf("supply %g: %v", v, err)
+		}
+	}
+	if err := NominalMode.Validate(); err != nil {
+		t.Errorf("nominal mode: %v", err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1, 10.5} {
+		m := Mode{Name: "m", Supplies: map[string]float64{"core": 1.1, "pd1": v}}
+		if err := m.Validate(); err == nil {
+			t.Errorf("supply %g accepted", v)
+		}
+	}
+	m := Mode{Name: "m", Supplies: map[string]float64{"pd0": -1, "pd1": 0, "pd2": 1.1}}
+	for i := 0; i < 10; i++ {
+		if err := m.Validate(); err == nil || !strings.Contains(err.Error(), `"pd0"`) {
+			t.Fatalf("got %v, want the error to name pd0", err)
+		}
 	}
 }

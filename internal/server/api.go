@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"time"
 
@@ -201,11 +200,6 @@ func decodeOptimizeRequest(body []byte, opts Options) (*optimizeRequest, *apiErr
 				return nil, badRequest("modes[%d]: duplicate mode name %q", i, m.Name)
 			}
 			seen[m.Name] = true
-			for dom, v := range m.Supplies {
-				if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 || v > 10 {
-					return nil, badRequest("modes[%d]: domain %q has implausible supply %g V", i, dom, v)
-				}
-			}
 			modes = append(modes, wavemin.Mode{Name: m.Name, Supplies: m.Supplies})
 		}
 		if err := design.SetModes(modes); err != nil {

@@ -61,6 +61,11 @@ func (c *ChunkSpec) Validate() error {
 	case math.IsNaN(c.PeakCap) || c.PeakCap < 0:
 		return fmt.Errorf("yield: chunk peakCap %g out of range", c.PeakCap)
 	}
+	if c.Mode != nil {
+		if err := c.Mode.Validate(); err != nil {
+			return fmt.Errorf("yield: chunk %w", err)
+		}
+	}
 	return nil
 }
 

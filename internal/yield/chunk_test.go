@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"wavemin/internal/clocktree"
 	"wavemin/internal/variation"
 )
 
@@ -46,12 +47,37 @@ func TestYieldChunkAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Measured ~438 allocs/sample (timing arrays + current waveforms per
-	// sample); the budget leaves ~25% headroom while still catching a
-	// clone-per-sample regression on any realistically sized tree.
-	const perSampleBudget = 550
+	// Measured 12.7 allocs/sample: the timing arrays, the leaf list the
+	// skew reads, and the peak sweep's one event slice. The budget leaves
+	// room for a few more while still catching a clone-per-sample or a
+	// waveform-per-node regression on any realistically sized tree.
+	const perSampleBudget = 32
 	if perSample := perChunk / ChunkSize; perSample > perSampleBudget {
 		t.Errorf("chunk evaluation allocates %.0f per sample (budget %d)", perSample, perSampleBudget)
+	}
+}
+
+// TestChunkSpecRejectsImpossibleSupply: the executor re-checks a leased
+// spec's mode, so a supply the evaluator cannot time is a validation
+// error (a bad_spec lease), not a panic that crashes the lease.
+func TestChunkSpecRejectsImpossibleSupply(t *testing.T) {
+	tree, _, _ := testCandidates(t)
+	for _, v := range []float64{-1, 0, math.NaN(), math.Inf(1), 11} {
+		spec := &ChunkSpec{Tree: tree, Candidate: 0, Index: 0, Start: 0, N: 4,
+			Sigma: 0.08, Kappa: 200, Seed: 7,
+			Mode: &clocktree.Mode{Name: "m", Supplies: map[string]float64{clocktree.DefaultDomain: v}}}
+		if err := spec.Validate(); err == nil {
+			t.Errorf("supply %g: Validate accepted the spec", v)
+		}
+		if _, err := ExecuteChunk(context.Background(), spec); err == nil {
+			t.Errorf("supply %g: ExecuteChunk returned no error", v)
+		}
+	}
+	ok := &ChunkSpec{Tree: tree, Candidate: 0, Index: 0, Start: 0, N: 4,
+		Sigma: 0.08, Kappa: 200, Seed: 7,
+		Mode: &clocktree.Mode{Name: "m", Supplies: map[string]float64{clocktree.DefaultDomain: 0.9}}}
+	if _, err := ExecuteChunk(context.Background(), ok); err != nil {
+		t.Fatalf("valid supply: %v", err)
 	}
 }
 

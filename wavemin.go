@@ -321,11 +321,17 @@ func (d *Design) PartitionVoltageIslands(n int) []string {
 	return bench.AssignDomains(d.Tree, d.dieW, d.dieH, n)
 }
 
-// SetModes declares the design's power modes. At least one is required;
-// the skew bound will be enforced in every mode.
+// SetModes declares the design's power modes. At least one is required,
+// and every supply must pass Mode.Validate; the skew bound will be
+// enforced in every mode.
 func (d *Design) SetModes(modes []Mode) error {
 	if len(modes) == 0 {
 		return fmt.Errorf("wavemin: empty mode list")
+	}
+	for _, m := range modes {
+		if err := m.Validate(); err != nil {
+			return fmt.Errorf("wavemin: %w", err)
+		}
 	}
 	d.mu.Lock()
 	d.Modes = append([]Mode(nil), modes...)

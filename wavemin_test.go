@@ -2,6 +2,7 @@ package wavemin
 
 import (
 	"context"
+	"math"
 	"testing"
 )
 
@@ -121,6 +122,36 @@ func TestSetModesValidation(t *testing.T) {
 	}
 	if err := d.SetModes(nil); err == nil {
 		t.Fatal("empty modes should error")
+	}
+}
+
+// TestSetModesRejectsImpossibleSupplies: a supply that is NaN, infinite,
+// zero, negative or above 10 V is refused at SetModes, which leaves the
+// declared modes as they were, instead of failing inside the evaluator.
+func TestSetModesRejectsImpossibleSupplies(t *testing.T) {
+	d, err := Benchmark("s15850")
+	if err != nil {
+		t.Fatal(err)
+	}
+	domains := d.PartitionVoltageIslands(2)
+	for _, sup := range []map[string]float64{
+		{domains[0]: -1, domains[1]: 0},
+		{domains[0]: math.NaN(), domains[1]: 1.1},
+		{domains[0]: 1.1, domains[1]: math.Inf(1)},
+		{domains[0]: 1.1, domains[1]: 10.5},
+	} {
+		if err := d.SetModes([]Mode{{Name: "bad", Supplies: sup}}); err == nil {
+			t.Errorf("SetModes accepted supplies %v", sup)
+		}
+	}
+	if len(d.Modes) != 1 || d.Modes[0].Name != NominalMode.Name {
+		t.Fatalf("a refused SetModes changed the modes to %v", d.Modes)
+	}
+	if _, err := d.Measure(context.Background()); err != nil {
+		t.Fatalf("Measure after refused modes: %v", err)
+	}
+	if err := d.SetModes([]Mode{{Name: "ok", Supplies: map[string]float64{domains[0]: 0.9, domains[1]: 1.1}}}); err != nil {
+		t.Fatalf("SetModes refused valid supplies: %v", err)
 	}
 }
 
