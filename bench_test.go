@@ -403,6 +403,48 @@ func resultBytesNoRuntime(b *testing.B, res *Result) []byte {
 	return out
 }
 
+// --- The cold request path --------------------------------------------------
+
+// BenchmarkOptimizeCold is one cold solve at the service benchmark's
+// request config (κ = 20 ps, |S| = 158, ε = 0.01, one worker) on s35932:
+// the zone MOSP solves and the golden measurement that every uncached
+// request runs.
+func BenchmarkOptimizeCold(b *testing.B) {
+	d, err := Benchmark("s35932")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{Kappa: 20, Samples: 158, Epsilon: 0.01, Workers: 1}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		run := cloneForRun(d)
+		b.StartTimer()
+		if _, err := run.Optimize(ctx, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMeasure is the golden evaluation of s38417 as synthesized, whose
+// cost is the power-grid transient of both clock edges.
+func BenchmarkMeasure(b *testing.B) {
+	d, err := Benchmark("s38417")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.Measure(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- Substrate micro-benchmarks --------------------------------------------
 
 func BenchmarkMOSPSolve(b *testing.B) {

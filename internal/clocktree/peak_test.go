@@ -179,6 +179,16 @@ func TestPeakCurrentAllocs(t *testing.T) {
 	}
 }
 
+// TestSkewAllocs: the skew reads the leaves where they are; a Monte Carlo
+// sample computes it once, so any allocation here is paid per sample.
+func TestSkewAllocs(t *testing.T) {
+	tree, _, _ := benchTree(t, "s15850")
+	tm := tree.ComputeTiming(clocktree.NominalMode)
+	if allocs := testing.AllocsPerRun(20, func() { tm.Skew(tree) }); allocs != 0 {
+		t.Errorf("Skew allocates %v per call, want 0", allocs)
+	}
+}
+
 // gridTree synthesizes a clock tree over n sinks scattered on a die sized
 // for about the paper circuits' sink density.
 func gridTree(t testing.TB, n int) *clocktree.Tree {

@@ -115,11 +115,15 @@ func (t *Tree) ComputeTiming(mode Mode) *Timing {
 	return tm
 }
 
-// Skew returns the clock skew: max − min leaf arrival time.
+// Skew returns the clock skew: max − min leaf arrival time. It reads the
+// leaves in place, so it allocates nothing.
 func (tm *Timing) Skew(t *Tree) float64 {
 	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, id := range t.Leaves() {
-		at := tm.ATOut[id]
+	for _, n := range t.nodes {
+		if !n.IsLeaf() {
+			continue
+		}
+		at := tm.ATOut[n.ID]
 		if at < lo {
 			lo = at
 		}

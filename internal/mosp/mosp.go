@@ -22,11 +22,12 @@
 // Memory: cost vectors live in two chunked float arenas that
 // double-buffer across layers, label structs come from a chunked slab
 // (stable addresses, so prev chains survive), and round-key deduplication
-// uses an FNV-1a hash of the quantized coordinates with collision-checked
-// equality instead of a string-keyed map. All of it is one workspace that
-// each solve takes from a sync.Pool and gives back trimmed to about 2 MiB
-// (see workspace), so once the pool is warm a repeated Solve allocates
-// only its result, the greedy incumbent and a few sort closures.
+// hashes the quantized coordinates one 64-bit word per xor-multiply step
+// (FNV-1a's step, word-wise) with collision-checked equality instead of a
+// string-keyed map. All of it is one workspace that each solve takes from
+// a sync.Pool and gives back trimmed to about 2 MiB (see workspace), so
+// once the pool is warm a repeated Solve allocates only its result, the
+// greedy incumbent and a few sort closures.
 package mosp
 
 import (
@@ -730,18 +731,16 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// hashQuantized is FNV-1a over the little-endian bytes of each coordinate
-// rounded down to a multiple of delta — the allocation-free replacement
-// for the old string round-key.
+// hashQuantized folds each coordinate, rounded down to a multiple of
+// delta, into the hash as one 64-bit word: FNV-1a's xor-then-multiply
+// step, taken a word at a time instead of a byte at a time — the
+// allocation-free replacement for the old string round-key. Multiplying
+// by the odd prime is a bijection on uint64, so vectors that differ in a
+// single quantized coordinate always hash apart.
 func hashQuantized(cost []float64, delta float64) uint64 {
 	h := uint64(fnvOffset64)
 	for _, c := range cost {
-		q := uint64(c / delta)
-		for b := 0; b < 8; b++ {
-			h ^= q & 0xff
-			h *= fnvPrime64
-			q >>= 8
-		}
+		h = (h ^ uint64(c/delta)) * fnvPrime64
 	}
 	return h
 }
@@ -765,19 +764,23 @@ func paretoFilter(labels []*label, r int) []*label {
 	// smaller-or-equal max.
 	sort.Slice(labels, func(i, j int) bool { return labels[i].max < labels[j].max })
 	out := labels[:0]
+	// w is the coordinate that last refuted a dominance. Successive pairs
+	// are often refuted at the same sample, so it is tested first and only
+	// a pair it does not refute pays for the full scan. Either way the
+	// predicate is the full scan's; only the order of the checks changes.
+	w := 0
 	for _, cand := range labels {
 		dominated := false
 		for _, kept := range out {
-			// A kept label whose max strictly exceeds the candidate's max
-			// cannot dominate it — the maxes already order the pair, so
-			// skip the full coordinate scan.
-			if kept.max > cand.max+1e-15 {
+			if kept.cost[w] > cand.cost[w]+1e-15 {
 				continue
 			}
-			if dominates(kept.cost, cand.cost, r) {
+			s := witness(kept.cost, cand.cost, r)
+			if s < 0 {
 				dominated = true
 				break
 			}
+			w = s
 		}
 		if !dominated {
 			out = append(out, cand)
@@ -786,11 +789,13 @@ func paretoFilter(labels []*label, r int) []*label {
 	return out
 }
 
-func dominates(a, b []float64, r int) bool {
+// witness returns the first coordinate at which a exceeds b (beyond the
+// 1e-15 tolerance), or -1 when a dominates b.
+func witness(a, b []float64, r int) int {
 	for s := 0; s < r; s++ {
 		if a[s] > b[s]+1e-15 {
-			return false
+			return s
 		}
 	}
-	return true
+	return -1
 }

@@ -31,56 +31,15 @@ func (c *Circuit) Transient(ctx context.Context, t0, t1, dt float64) (*Result, e
 	// idx maps a node number to its matrix row, -1 for ground.
 	idx := func(node int) int { return node - 1 }
 
-	stampG := func(m [][]float64, a, b int, g float64) {
-		if a != Ground {
-			m[idx(a)][idx(a)] += g
-		}
-		if b != Ground {
-			m[idx(b)][idx(b)] += g
-		}
-		if a != Ground && b != Ground {
-			m[idx(a)][idx(b)] -= g
-			m[idx(b)][idx(a)] -= g
-		}
-	}
-
-	buildMatrix := func(withCaps bool, t float64) ([][]float64, error) {
-		m := newMatrix(dim)
-		for i := 0; i < nn-1; i++ {
-			m[i][i] += gmin
-		}
-		for _, r := range c.resistors {
-			stampG(m, r.a, r.b, r.g)
-		}
-		for _, sw := range c.switched {
-			g := sw.g.At(t)
-			if g < gmin {
-				g = gmin
-			}
-			stampG(m, sw.a, sw.b, g)
-		}
-		if withCaps {
-			for _, cp := range c.caps {
-				stampG(m, cp.a, cp.b, 2*cp.c/dt)
-			}
-		}
-		for k, vs := range c.vsources {
-			row := (nn - 1) + k
-			if vs.node == Ground {
-				return nil, fmt.Errorf("spice: voltage source %d on ground", k)
-			}
-			m[idx(vs.node)][row] += 1 // branch current leaves the node
-			m[row][idx(vs.node)] += 1 // v_node = V
-		}
-		return m, nil
-	}
+	// Every factorization starts from a freshly stamped copy of this one
+	// matrix; factor leaves nothing in it that it still needs.
+	m := newMatrix(dim)
 
 	// DC operating point: caps open, switches at their t0 state.
-	mDC, err := buildMatrix(false, t0)
-	if err != nil {
+	if err := c.stamp(m, false, t0, dt); err != nil {
 		return nil, err
 	}
-	luDC, err := factor(mDC)
+	luDC, err := factor(m)
 	if err != nil {
 		return nil, fmt.Errorf("spice: DC solve: %w", err)
 	}
@@ -133,11 +92,10 @@ func (c *Circuit) Transient(ctx context.Context, t0, t1, dt float64) (*Result, e
 	timeVarying := len(c.switched) > 0
 	var luTR *lu
 	if !timeVarying {
-		mTR, err := buildMatrix(true, t0)
-		if err != nil {
+		if err := c.stamp(m, true, t0, dt); err != nil {
 			return nil, err
 		}
-		luTR, err = factor(mTR)
+		luTR, err = factor(m)
 		if err != nil {
 			return nil, fmt.Errorf("spice: transient factor: %w", err)
 		}
@@ -174,11 +132,10 @@ func (c *Circuit) Transient(ctx context.Context, t0, t1, dt float64) (*Result, e
 		}
 		t := t0 + float64(k)*dt
 		if timeVarying {
-			mTR, err := buildMatrix(true, t)
-			if err != nil {
+			if err := c.stamp(m, true, t, dt); err != nil {
 				return nil, err
 			}
-			luTR, err = factor(mTR)
+			luTR, err = factor(m)
 			if err != nil {
 				return nil, fmt.Errorf("spice: transient factor at t=%g: %w", t, err)
 			}
@@ -207,4 +164,58 @@ func (c *Circuit) Transient(ctx context.Context, t0, t1, dt float64) (*Result, e
 		x, xNext = xNext, x
 	}
 	return res, nil
+}
+
+// stamp writes the circuit's MNA matrix at time t into m, which it clears
+// first: gmin from every node to ground, the resistors, the switched
+// conductances at their value at t, the capacitors' trapezoidal
+// companions for step dt when withCaps (open otherwise), and the
+// voltage-source rows.
+func (c *Circuit) stamp(m [][]float64, withCaps bool, t, dt float64) error {
+	for _, row := range m {
+		clear(row)
+	}
+	nn := len(c.names)
+	for i := 0; i < nn-1; i++ {
+		m[i][i] += gmin
+	}
+	for _, r := range c.resistors {
+		stampG(m, r.a, r.b, r.g)
+	}
+	for _, sw := range c.switched {
+		g := sw.g.At(t)
+		if g < gmin {
+			g = gmin
+		}
+		stampG(m, sw.a, sw.b, g)
+	}
+	if withCaps {
+		for _, cp := range c.caps {
+			stampG(m, cp.a, cp.b, 2*cp.c/dt)
+		}
+	}
+	for k, vs := range c.vsources {
+		row := (nn - 1) + k
+		if vs.node == Ground {
+			return fmt.Errorf("spice: voltage source %d on ground", k)
+		}
+		m[vs.node-1][row] += 1 // branch current leaves the node
+		m[row][vs.node-1] += 1 // v_node = V
+	}
+	return nil
+}
+
+// stampG adds conductance g between nodes a and b. Node k's row is k−1;
+// ground has none.
+func stampG(m [][]float64, a, b int, g float64) {
+	if a != Ground {
+		m[a-1][a-1] += g
+	}
+	if b != Ground {
+		m[b-1][b-1] += g
+	}
+	if a != Ground && b != Ground {
+		m[a-1][b-1] -= g
+		m[b-1][a-1] -= g
+	}
 }

@@ -47,11 +47,11 @@ func TestYieldChunkAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Measured 12.7 allocs/sample: the timing arrays, the leaf list the
-	// skew reads, and the peak sweep's one event slice. The budget leaves
-	// room for a few more while still catching a clone-per-sample or a
-	// waveform-per-node regression on any realistically sized tree.
-	const perSampleBudget = 32
+	// Measured 7.7 allocs/sample: the timing arrays and the peak sweep's
+	// one event slice. The budget leaves room for a few more while still
+	// catching a clone-per-sample or a waveform-per-node regression on
+	// any realistically sized tree.
+	const perSampleBudget = 16
 	if perSample := perChunk / ChunkSize; perSample > perSampleBudget {
 		t.Errorf("chunk evaluation allocates %.0f per sample (budget %d)", perSample, perSampleBudget)
 	}

@@ -31,6 +31,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"sync"
 	"time"
@@ -323,15 +324,22 @@ func (d *Design) PartitionVoltageIslands(n int) []string {
 
 // SetModes declares the design's power modes. At least one is required,
 // and every supply must pass Mode.Validate; the skew bound will be
-// enforced in every mode.
+// enforced in every mode. Adjustable-buffer settings are kept per mode
+// name, so two modes may share a name only as exact duplicates (which add
+// no constraint); the same name with different supplies is refused.
 func (d *Design) SetModes(modes []Mode) error {
 	if len(modes) == 0 {
 		return fmt.Errorf("wavemin: empty mode list")
 	}
+	byName := make(map[string]map[string]float64, len(modes))
 	for _, m := range modes {
 		if err := m.Validate(); err != nil {
 			return fmt.Errorf("wavemin: %w", err)
 		}
+		if sup, ok := byName[m.Name]; ok && !maps.Equal(sup, m.Supplies) {
+			return fmt.Errorf("wavemin: mode %q is declared twice with different supplies", m.Name)
+		}
+		byName[m.Name] = m.Supplies
 	}
 	d.mu.Lock()
 	d.Modes = append([]Mode(nil), modes...)

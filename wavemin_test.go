@@ -3,6 +3,7 @@ package wavemin
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -152,6 +153,33 @@ func TestSetModesRejectsImpossibleSupplies(t *testing.T) {
 	}
 	if err := d.SetModes([]Mode{{Name: "ok", Supplies: map[string]float64{domains[0]: 0.9, domains[1]: 1.1}}}); err != nil {
 		t.Fatalf("SetModes refused valid supplies: %v", err)
+	}
+}
+
+// TestSetModesRejectsConflictingNames: adjustable-buffer bank settings are
+// kept per mode name, so two modes that share a name but not their
+// supplies would share one setting, and ADB insertion cannot converge for
+// both. SetModes refuses such a pair, names the mode and keeps the modes
+// it had; an exact duplicate adds no constraint and is still accepted.
+func TestSetModesRejectsConflictingNames(t *testing.T) {
+	d, err := New(gridSinks(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hi := Mode{Name: "M1", Supplies: map[string]float64{"a": 1.1, "b": 1.1}}
+	lo := Mode{Name: "M1", Supplies: map[string]float64{"a": 0.9, "b": 1.1}}
+	err = d.SetModes([]Mode{hi, lo})
+	if err == nil {
+		t.Fatal("SetModes accepted two modes named M1 with different supplies")
+	}
+	if !strings.Contains(err.Error(), `"M1"`) {
+		t.Errorf("error %q does not name the mode", err)
+	}
+	if len(d.Modes) != 1 || d.Modes[0].Name != NominalMode.Name {
+		t.Fatalf("a refused SetModes changed the modes to %v", d.Modes)
+	}
+	if err := d.SetModes([]Mode{hi, hi, {Name: "M2", Supplies: lo.Supplies}}); err != nil {
+		t.Fatalf("SetModes refused an exact duplicate: %v", err)
 	}
 }
 
