@@ -2,7 +2,7 @@ GO ?= go
 BENCH_DATE := $(shell date +%F)
 BENCH_LATEST = $(lastword $(sort $(filter-out BENCH_baseline.json,$(wildcard BENCH_*.json))))
 
-.PHONY: build test vet race check verify bench benchdiff cover e2e e2e-dispatch e2e-crash e2e-eco e2e-shard e2e-rebalance e2e-yield test-flake fuzz-smoke perfbench-vet loc
+.PHONY: build test vet race check verify bench benchdiff cover e2e e2e-dispatch e2e-crash e2e-eco e2e-shard e2e-rebalance e2e-yield test-flake fuzz-smoke perfbench-vet loc examples
 
 build:
 	$(GO) build ./...
@@ -32,8 +32,8 @@ race: vet
 # short fuzz smoke over the lease protocol and journal replay, the
 # subprocess kill -9 recovery loop, and — because every job runs on the
 # lease queue — the dispatch chaos suite and the whole queue package
-# under the race detector.
-check: test vet perfbench-vet cover fuzz-smoke e2e-crash e2e-eco e2e-shard e2e-rebalance e2e-yield e2e-dispatch
+# under the race detector, and every example program.
+check: test vet perfbench-vet examples cover fuzz-smoke e2e-crash e2e-eco e2e-shard e2e-rebalance e2e-yield e2e-dispatch
 	$(GO) test -race -run Parallel . ./internal/...
 	$(GO) test -race ./internal/jobq
 
@@ -42,6 +42,15 @@ check: test vet perfbench-vet cover fuzz-smoke e2e-crash e2e-eco e2e-shard e2e-r
 # fails here rather than in the benchmark run.
 perfbench-vet:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# Every example program runs to completion: stdout is discarded, stderr
+# stays visible, and a non-zero exit fails the target. No test runs them,
+# so this is what keeps them building and working.
+examples:
+	@for d in examples/*/; do \
+		echo "== $$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
 
 # Non-test Go lines of the module proper — the root package, cmd/,
 # internal/ and scripts/; not examples/, perfbench/ or .bench_build/ —

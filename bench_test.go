@@ -612,60 +612,6 @@ func BenchmarkBaselines(b *testing.B) {
 	}
 }
 
-// BenchmarkNonLeafExtension measures the Lu & Taskin-style internal-node
-// polarity extension against plain leaf-only WaveMin.
-func BenchmarkNonLeafExtension(b *testing.B) {
-	d, err := Benchmark("s15850")
-	if err != nil {
-		b.Fatal(err)
-	}
-	lib := cell.DefaultLibrary()
-	sizing, err := lib.Restrict("BUF_X8", "BUF_X16", "INV_X8", "INV_X16")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := polarity.Config{
-		Library: sizing, Kappa: 20, Samples: 16, Epsilon: 0.05,
-		Algorithm: polarity.ClkWaveMin, MaxIntervals: 2,
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := polarity.OptimizeWithNonLeafFlips(context.Background(), d.Tree, lib, cfg, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.GoldenPeak, "golden-peak-uA")
-		b.ReportMetric(float64(len(res.Flips)), "flips")
-	}
-}
-
-// BenchmarkCTSDMEVsBisection compares the two synthesis engines.
-func BenchmarkCTSDMEVsBisection(b *testing.B) {
-	lib := cell.DefaultLibrary()
-	var sinks []cts.Sink
-	for i := 0; i < 80; i++ {
-		sinks = append(sinks, cts.Sink{X: float64(i%10) * 35, Y: float64(i/10) * 35, Cap: 8})
-	}
-	b.Run("dme", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tree, err := cts.SynthesizeDME(sinks, lib, cts.DefaultOptions())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(cts.TotalWireCap(tree), "wire-cap-fF")
-		}
-	})
-	b.Run("bisection", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tree, err := cts.Synthesize(sinks, lib, cts.DefaultOptions())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(cts.TotalWireCap(tree), "wire-cap-fF")
-		}
-	})
-}
-
 // BenchmarkSpiceCharacterize measures the transistor-level testbench.
 func BenchmarkSpiceCharacterize(b *testing.B) {
 	c := cell.DefaultLibrary().MustByName("INV_X8")

@@ -1,8 +1,7 @@
-// Characterize: build NLDM-style lookup tables for the sizing library by
-// sweeping input slew and output load, dump them in the Liberty-flavoured
-// text format, and cross-check one cell against the transistor-level
-// (switched-conductance) simulation — the characterization flow behind the
-// paper's Fig. 7.
+// Characterize: print the sizing library's Table II/III-style
+// characterization (delay and the P+/P− peak currents per supply) and
+// cross-check one cell against the transistor-level (switched-conductance)
+// simulation — the characterization flow behind the paper's Fig. 7.
 package main
 
 import (
@@ -17,20 +16,7 @@ func main() {
 	log.SetFlags(0)
 
 	lib := cell.SizingLibrary()
-	slews := []float64{10, 20, 40, 80}
-	loads := []float64{2, 4, 8, 16, 32}
-
-	var tables []cell.CellTables
-	for _, c := range lib.Cells() {
-		ct, err := cell.BuildTables(c, 1.1, slews, loads)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tables = append(tables, ct)
-	}
-	if err := cell.WriteLiberty(os.Stdout, "wavemin_45nm", 1.1, tables); err != nil {
-		log.Fatal(err)
-	}
+	fmt.Print(cell.CharacterizationTable(lib, 8, []float64{0.9, 1.1}))
 
 	// Cross-validate the analytic model against the transistor-level
 	// testbench for one operating point.

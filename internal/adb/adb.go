@@ -149,15 +149,6 @@ func Insert(ctx context.Context, t *clocktree.Tree, adbCell *cell.Cell, modes []
 		if len(mustSwap) == 0 {
 			return nil, fmt.Errorf("adb: skew violated but no leaf is early (inconsistent timing)")
 		}
-		if debugInsert {
-			worstSkew := 0.0
-			for i := range modes {
-				if s := timings[i].Skew(t); s > worstSkew {
-					worstSkew = s
-				}
-			}
-			fmt.Printf("adb pass %d: worstSkew=%.2f mustSwap=%d\n", pass, worstSkew, len(mustSwap))
-		}
 
 		// Per-leaf required bank delay per mode.
 		needs := make(map[clocktree.NodeID][]float64)
@@ -176,17 +167,6 @@ func Insert(ctx context.Context, t *clocktree.Tree, adbCell *cell.Cell, modes []
 			needs[leaf] = ns
 		}
 
-		if debugInsert {
-			worstNeed := 0.0
-			for _, ns := range needs {
-				for _, n := range ns {
-					if n > worstNeed {
-						worstNeed = n
-					}
-				}
-			}
-			fmt.Printf("  worstNeed=%.2f overflow=%v\n", worstNeed, overflow)
-		}
 		if overflow {
 			// A leaf bank cannot absorb the whole shift: hoist the common
 			// part of each sibling group's need into a *non-leaf* ADB at
@@ -397,9 +377,6 @@ func Sites(t *clocktree.Tree) []clocktree.NodeID {
 	}
 	return out
 }
-
-// debugInsert, when set by tests, traces Insert's passes.
-var debugInsert = false
 
 // leafDescendants collects the leaves in a node's subtree.
 func leafDescendants(t *clocktree.Tree, id clocktree.NodeID) []clocktree.NodeID {

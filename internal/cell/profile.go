@@ -52,83 +52,6 @@ func (p Profile) PeakPlus() float64 { pk, _ := p.IDDRise.Peak(); return pk }
 // PeakMinus returns the characterized P− (peak IDD at falling edge).
 func (p Profile) PeakMinus() float64 { pk, _ := p.IDDFall.Peak(); return pk }
 
-// Rail selects a supply rail.
-type Rail int
-
-const (
-	VDD Rail = iota
-	Gnd
-)
-
-// String implements fmt.Stringer.
-func (r Rail) String() string {
-	if r == VDD {
-		return "VDD"
-	}
-	return "Gnd"
-}
-
-// Current returns the characterized waveform for the given rail and edge.
-func (p Profile) Current(r Rail, e Edge) waveform.Waveform {
-	switch {
-	case r == VDD && e == Rising:
-		return p.IDDRise
-	case r == VDD && e == Falling:
-		return p.IDDFall
-	case r == Gnd && e == Rising:
-		return p.ISSRise
-	default:
-		return p.ISSFall
-	}
-}
-
-// ProfileKey identifies a characterization point. Loads are bucketed by
-// the profiler to keep the table small, exactly like a .lib load grid.
-type ProfileKey struct {
-	CellName string
-	LoadStep int // load bucket index
-	VDDmV    int // VDD in integer millivolts
-}
-
-// Profiler memoizes Characterize over a load grid: the paper's "extract
-// noise data ... for all combinations of buffers/inverters in B ∪ I and
-// sinks in L" preprocessing (§IV-B), without re-running the simulator per
-// sink.
-type Profiler struct {
-	LoadGrid float64 // load bucket width, fF
-	cache    map[ProfileKey]Profile
-}
-
-// NewProfiler returns a Profiler with the given load bucketing (fF).
-func NewProfiler(loadGrid float64) *Profiler {
-	if loadGrid <= 0 {
-		loadGrid = 0.5
-	}
-	return &Profiler{LoadGrid: loadGrid, cache: make(map[ProfileKey]Profile)}
-}
-
-// bucket maps a load to its grid midpoint.
-func (pr *Profiler) bucket(load float64) (int, float64) {
-	step := int(load/pr.LoadGrid + 0.5)
-	return step, float64(step) * pr.LoadGrid
-}
-
-// Profile returns the memoized characterization of c at (load, vdd), with
-// the load snapped to the profiler's grid.
-func (pr *Profiler) Profile(c *Cell, load, vdd float64) Profile {
-	step, snapped := pr.bucket(load)
-	key := ProfileKey{CellName: c.Name, LoadStep: step, VDDmV: int(vdd*1000 + 0.5)}
-	if p, ok := pr.cache[key]; ok {
-		return p
-	}
-	p := Characterize(c, snapped, vdd)
-	pr.cache[key] = p
-	return p
-}
-
-// Size reports how many characterization points are cached.
-func (pr *Profiler) Size() int { return len(pr.cache) }
-
 // CharacterizationTable renders a Table II/III-style text table for the
 // library at the given load and supplies.
 func CharacterizationTable(lib *Library, load float64, vdds []float64) string {

@@ -1,10 +1,6 @@
 package cell
 
-import (
-	"testing"
-
-	"wavemin/internal/waveform"
-)
+import "testing"
 
 func TestCharacterizeConsistency(t *testing.T) {
 	c := DefaultLibrary().MustByName("BUF_X8")
@@ -23,60 +19,5 @@ func TestCharacterizeConsistency(t *testing.T) {
 	if p.PeakPlus() > c.PeakPlus(4, 1.1) {
 		t.Fatalf("profiled P+ %g exceeds closed-form %g (slew should only flatten)",
 			p.PeakPlus(), c.PeakPlus(4, 1.1))
-	}
-}
-
-func TestProfileCurrentSelector(t *testing.T) {
-	c := DefaultLibrary().MustByName("INV_X8")
-	p := Characterize(c, 4, 1.1)
-	if !equalWf(p.Current(VDD, Rising), p.IDDRise) ||
-		!equalWf(p.Current(VDD, Falling), p.IDDFall) ||
-		!equalWf(p.Current(Gnd, Rising), p.ISSRise) ||
-		!equalWf(p.Current(Gnd, Falling), p.ISSFall) {
-		t.Fatal("Current selector mismatch")
-	}
-	if VDD.String() != "VDD" || Gnd.String() != "Gnd" {
-		t.Fatal("Rail strings wrong")
-	}
-}
-
-func equalWf(a, b waveform.Waveform) bool {
-	ap, bp := a.Points(), b.Points()
-	if len(ap) != len(bp) {
-		return false
-	}
-	for i := range ap {
-		if ap[i] != bp[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func TestProfilerMemoizes(t *testing.T) {
-	pr := NewProfiler(0.5)
-	c := DefaultLibrary().MustByName("BUF_X8")
-	p1 := pr.Profile(c, 4.1, 1.1)
-	p2 := pr.Profile(c, 4.2, 1.1) // same bucket
-	if pr.Size() != 1 {
-		t.Fatalf("cache size %d, want 1 (bucketing failed)", pr.Size())
-	}
-	if p1.TD != p2.TD {
-		t.Fatal("bucketed profiles should be identical")
-	}
-	pr.Profile(c, 9.9, 1.1)
-	if pr.Size() != 2 {
-		t.Fatalf("cache size %d, want 2", pr.Size())
-	}
-	pr.Profile(c, 4.1, 0.9)
-	if pr.Size() != 3 {
-		t.Fatalf("cache size %d, want 3 (VDD must key the cache)", pr.Size())
-	}
-}
-
-func TestProfilerDefaultGrid(t *testing.T) {
-	pr := NewProfiler(0)
-	if pr.LoadGrid <= 0 {
-		t.Fatal("default grid should be positive")
 	}
 }

@@ -30,11 +30,16 @@ func (m Mode) VDDOf(domain string) float64 {
 // maxSupply is the highest supply voltage a mode may declare, volts.
 const maxSupply = 10.0
 
-// Validate rejects a supply no circuit runs at: NaN, ±Inf, ≤ 0 V or above
-// 10 V. Such a supply turns delays and arrival times NaN, and nothing
-// downstream can evaluate those. With several bad domains it names the
-// first in sorted order, so the error does not vary from run to run.
+// Validate rejects a mode without a name and a supply no circuit runs at.
+// The solvers read an empty name as "no mode given" and would run the mode
+// at nominal supply. A supply that is NaN, ±Inf, ≤ 0 V or above 10 V turns
+// delays and arrival times NaN, and nothing downstream can evaluate those.
+// With several bad domains it names the first in sorted order, so the
+// error does not vary from run to run.
 func (m Mode) Validate() error {
+	if m.Name == "" {
+		return fmt.Errorf("clocktree: mode has no name")
+	}
 	bad, found := "", false
 	for dom, v := range m.Supplies {
 		if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 || v > maxSupply {

@@ -378,6 +378,9 @@ func TestModeValidate(t *testing.T) {
 			t.Errorf("supply %g accepted", v)
 		}
 	}
+	if err := (Mode{Supplies: map[string]float64{"core": 0.9}}).Validate(); err == nil {
+		t.Error("mode without a name accepted")
+	}
 	m := Mode{Name: "m", Supplies: map[string]float64{"pd0": -1, "pd1": 0, "pd2": 1.1}}
 	for i := 0; i < 10; i++ {
 		if err := m.Validate(); err == nil || !strings.Contains(err.Error(), `"pd0"`) {

@@ -104,9 +104,6 @@ func (g *Grid) nearestNode(x, y float64) (int, int) {
 type Report struct {
 	VDDNoise float64 // max |V − VDD| over the VDD mesh, volts
 	GndNoise float64 // max |V| over the ground mesh, volts
-	// Worst-node waveforms for plotting/diagnosis.
-	WorstVDD waveform.Waveform
-	WorstGnd waveform.Waveform
 }
 
 // Simulate runs a transient of both meshes with the given injections over
@@ -178,49 +175,17 @@ func (g *Grid) Simulate(ctx context.Context, inj []Injection, t0, t1, dt float64
 		return nil, err
 	}
 	rep := &Report{}
-	worstV, worstG := -1, -1
 	for r := 0; r < g.rows; r++ {
 		for c := 0; c < g.cols; c++ {
 			if d := res.MaxDeviation(vddNode[r][c], g.opt.VDD); d > rep.VDDNoise {
-				rep.VDDNoise, worstV = d, vddNode[r][c]
+				rep.VDDNoise = d
 			}
 			if d := res.MaxDeviation(gndNode[r][c], 0); d > rep.GndNoise {
-				rep.GndNoise, worstG = d, gndNode[r][c]
+				rep.GndNoise = d
 			}
 		}
-	}
-	if worstV >= 0 {
-		rep.WorstVDD = res.Voltage(worstV)
-	}
-	if worstG >= 0 {
-		rep.WorstGnd = res.Voltage(worstG)
 	}
 	return rep, nil
-}
-
-// StaticIRDrop runs the classic DC power-grid check: every injection is
-// replaced by its average current over the window (charge/window) and the
-// resulting steady-state rail deviations are reported. Complements the
-// transient analysis: IR drop is the sustained component of the noise,
-// while Simulate captures the dynamic di/dt spikes the clock tree causes.
-func (g *Grid) StaticIRDrop(ctx context.Context, inj []Injection, window float64) (*Report, error) {
-	if window <= 0 {
-		return nil, fmt.Errorf("powergrid: non-positive averaging window %g", window)
-	}
-	avg := make([]Injection, 0, len(inj))
-	for _, in := range inj {
-		flat := func(w waveform.Waveform) waveform.Waveform {
-			i := w.Charge() / window
-			if i == 0 {
-				return waveform.Waveform{}
-			}
-			return waveform.MustNew([]waveform.Point{{T: 0, I: i}, {T: 10, I: i}})
-		}
-		avg = append(avg, Injection{X: in.X, Y: in.Y, IDD: flat(in.IDD), ISS: flat(in.ISS)})
-	}
-	// Two steps suffice: the sources are constant, so the DC point is the
-	// answer.
-	return g.Simulate(ctx, avg, 0, 10, 5)
 }
 
 // TreeInjections extracts one Injection per clock-tree node for the given

@@ -193,9 +193,6 @@ func decodeOptimizeRequest(body []byte, opts Options) (*optimizeRequest, *apiErr
 		seen := make(map[string]bool, len(wire.Modes))
 		modes = make([]wavemin.Mode, 0, len(wire.Modes))
 		for i, m := range wire.Modes {
-			if m.Name == "" {
-				return nil, badRequest("modes[%d]: missing name", i)
-			}
 			if seen[m.Name] {
 				return nil, badRequest("modes[%d]: duplicate mode name %q", i, m.Name)
 			}

@@ -111,22 +111,24 @@ func (c *Circuit) V(node int, volts float64) {
 	c.vsources = append(c.vsources, vsource{node: node, v: volts})
 }
 
-// Result holds a transient solution on a uniform time grid.
+// Result holds a transient solution on a uniform time grid. Both tables
+// are step-major and flat: step k's row starts at k times the row length.
 type Result struct {
-	circuit *Circuit
-	Times   []float64   // ps
-	v       [][]float64 // v[step][node], volts
-	isrcV   [][]float64 // isrcV[step][vsourceIdx] branch currents, mA
+	Times   []float64 // ps
+	nodes   int       // row length of v: every node, ground included
+	sources int       // row length of isrcV: one per voltage source
+	v       []float64 // v[k*nodes+node], volts
+	isrcV   []float64 // isrcV[k*sources+i] branch currents, mA
 }
 
 // VoltageAt returns node's voltage at step k.
-func (r *Result) VoltageAt(node, k int) float64 { return r.v[k][node] }
+func (r *Result) VoltageAt(node, k int) float64 { return r.v[k*r.nodes+node] }
 
 // Voltage returns the node's full voltage waveform (volts vs ps).
 func (r *Result) Voltage(node int) waveform.Waveform {
 	pts := make([]waveform.Point, len(r.Times))
 	for k, t := range r.Times {
-		pts[k] = waveform.Point{T: t, I: r.v[k][node]}
+		pts[k] = waveform.Point{T: t, I: r.v[k*r.nodes+node]}
 	}
 	return waveform.MustNew(pts)
 }
@@ -137,7 +139,7 @@ func (r *Result) Voltage(node int) waveform.Waveform {
 func (r *Result) SupplyCurrent(i int) waveform.Waveform {
 	pts := make([]waveform.Point, len(r.Times))
 	for k, t := range r.Times {
-		pts[k] = waveform.Point{T: t, I: r.isrcV[k][i] * 1000} // mA→µA
+		pts[k] = waveform.Point{T: t, I: r.isrcV[k*r.sources+i] * 1000} // mA→µA
 	}
 	return waveform.MustNew(pts)
 }
@@ -148,7 +150,7 @@ func (r *Result) SupplyCurrent(i int) waveform.Waveform {
 func (r *Result) MaxDeviation(node int, ref float64) float64 {
 	var worst float64
 	for k := range r.Times {
-		d := r.v[k][node] - ref
+		d := r.v[k*r.nodes+node] - ref
 		if d < 0 {
 			d = -d
 		}

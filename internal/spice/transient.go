@@ -103,25 +103,22 @@ func (c *Circuit) Transient(ctx context.Context, t0, t1, dt float64) (*Result, e
 
 	steps := int((t1-t0)/dt+0.5) + 1
 	res := &Result{
-		circuit: c,
 		Times:   make([]float64, steps),
-		v:       make([][]float64, steps),
-		isrcV:   make([][]float64, steps),
+		nodes:   nn,
+		sources: nv,
+		v:       make([]float64, steps*nn),
+		isrcV:   make([]float64, steps*nv),
 	}
 	record := func(k int, t float64, sol []float64) {
 		res.Times[k] = t
-		row := make([]float64, nn)
-		for node := 1; node < nn; node++ {
-			row[node] = sol[idx(node)]
-		}
-		res.v[k] = row
-		br := make([]float64, nv)
+		// Column 0 is ground and stays 0.
+		copy(res.v[k*nn+1:(k+1)*nn], sol[:nn-1])
+		br := res.isrcV[k*nv : (k+1)*nv]
 		for i := range br {
 			// Branch unknown is current flowing out of the node into the
 			// source; the supply *delivers* the negative of that.
 			br[i] = -sol[(nn-1)+i]
 		}
-		res.isrcV[k] = br
 	}
 	record(0, t0, x)
 

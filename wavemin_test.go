@@ -178,6 +178,9 @@ func TestSetModesRejectsConflictingNames(t *testing.T) {
 	if len(d.Modes) != 1 || d.Modes[0].Name != NominalMode.Name {
 		t.Fatalf("a refused SetModes changed the modes to %v", d.Modes)
 	}
+	if err := d.SetModes([]Mode{{Supplies: lo.Supplies}}); err == nil {
+		t.Fatal("SetModes accepted a mode without a name")
+	}
 	if err := d.SetModes([]Mode{hi, hi, {Name: "M2", Supplies: lo.Supplies}}); err != nil {
 		t.Fatalf("SetModes refused an exact duplicate: %v", err)
 	}
