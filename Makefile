@@ -54,9 +54,12 @@ examples:
 
 # Non-test Go lines of the module proper — the root package, cmd/,
 # internal/ and scripts/; not examples/, perfbench/ or .bench_build/ —
-# the size figure changes report before and after.
+# the size figure changes report before and after. A second line gives
+# internal/server's own non-test count, the package with a size target
+# in ROADMAP.md.
 loc:
 	@{ ls *.go; find cmd internal scripts -name '*.go'; } | grep -v '_test\.go$$' | xargs cat | wc -l
+	@echo "internal/server $$(ls internal/server/*.go | grep -v '_test\.go$$' | xargs cat | wc -l)"
 
 # Coverage with floors: internal/obs (the telemetry layer every solver
 # calls into), the serving stack (jobq, rescache, server, dispatch), and

@@ -27,6 +27,7 @@
 package castore
 
 import (
+	"container/list"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -94,9 +95,8 @@ func validKey(key string) bool {
 }
 
 type entry struct {
-	key        string
-	size       int64 // framed file size on disk
-	prev, next *entry
+	key  string
+	size int64 // framed file size on disk
 }
 
 // Store is a persistent content-addressed store. Construct with Open;
@@ -106,9 +106,8 @@ type Store struct {
 	opts Options
 
 	mu      sync.Mutex
-	items   map[string]*entry
-	head    *entry // most recently used
-	tail    *entry // least recently used
+	items   map[string]*list.Element // of *entry
+	lru     *list.List               // front = most recently used
 	bytes   int64
 	ops     int // index records since the last compaction
 	index   *wal.Writer
@@ -144,7 +143,8 @@ func Open(dir string, opts Options) (*Store, error) {
 	s := &Store{
 		dir:   dir,
 		opts:  opts,
-		items: make(map[string]*entry),
+		items: make(map[string]*list.Element),
+		lru:   list.New(),
 	}
 	// Recency is best-effort by design: the index journal is opened with
 	// BestEffort so a rotted index can never block the store — object
@@ -173,11 +173,13 @@ func (s *Store) replayIndex(kind wal.RecordKind, payload []byte) error {
 		if err := json.Unmarshal(payload, &snap); err != nil {
 			return nil // malformed snapshot: scan will readopt everything
 		}
-		s.items = make(map[string]*entry, len(snap))
-		s.head, s.tail, s.bytes = nil, nil, 0
+		s.items = make(map[string]*list.Element, len(snap))
+		s.lru.Init()
+		s.bytes = 0
 		// Snapshot is most-recent-first; pushing back preserves order.
 		for _, ie := range snap {
-			s.pushBack(&entry{key: ie.Key, size: ie.Size})
+			s.items[ie.Key] = s.lru.PushBack(&entry{key: ie.Key, size: ie.Size})
+			s.bytes += ie.Size
 		}
 		return nil
 	}
@@ -187,20 +189,14 @@ func (s *Store) replayIndex(kind wal.RecordKind, payload []byte) error {
 	}
 	switch rec.Op {
 	case "p":
-		if e, ok := s.items[rec.Key]; ok {
-			s.bytes += rec.Size - e.size
-			e.size = rec.Size
-			s.moveFront(e)
-		} else {
-			s.pushFront(&entry{key: rec.Key, size: rec.Size})
-		}
+		s.record(rec.Key, rec.Size)
 	case "t":
-		if e, ok := s.items[rec.Key]; ok {
-			s.moveFront(e)
+		if el, ok := s.items[rec.Key]; ok {
+			s.lru.MoveToFront(el)
 		}
 	case "e":
-		if e, ok := s.items[rec.Key]; ok {
-			s.unlink(e)
+		if el, ok := s.items[rec.Key]; ok {
+			s.remove(el)
 		}
 	}
 	return nil
@@ -238,19 +234,20 @@ func (s *Store) adoptOrphans() error {
 		return fmt.Errorf("castore: scanning objects: %w", err)
 	}
 	for key, size := range onDisk {
-		if e, ok := s.items[key]; ok {
-			if e.size != size { // index drifted; trust the file
-				s.bytes += size - e.size
-				e.size = size
-			}
+		if el, ok := s.items[key]; ok {
+			// The index may have drifted: trust the file's size.
+			e := el.Value.(*entry)
+			s.bytes += size - e.size
+			e.size = size
 			continue
 		}
-		s.pushBack(&entry{key: key, size: size})
+		s.items[key] = s.lru.PushBack(&entry{key: key, size: size})
+		s.bytes += size
 		s.orphans++
 	}
-	for key, e := range s.items {
+	for key, el := range s.items {
 		if _, ok := onDisk[key]; !ok {
-			s.unlink(e)
+			s.remove(el)
 		}
 	}
 	obs.ExpvarCounters().Add("castore_orphans_adopted", s.orphans)
@@ -259,54 +256,24 @@ func (s *Store) adoptOrphans() error {
 
 // --- LRU list (caller holds s.mu once the store is shared) ---------------
 
-func (s *Store) pushFront(e *entry) {
-	s.items[e.key] = e
-	s.bytes += e.size
-	e.prev, e.next = nil, s.head
-	if s.head != nil {
-		s.head.prev = e
-	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
-	}
-}
-
-func (s *Store) pushBack(e *entry) {
-	s.items[e.key] = e
-	s.bytes += e.size
-	e.next, e.prev = nil, s.tail
-	if s.tail != nil {
-		s.tail.next = e
-	}
-	s.tail = e
-	if s.head == nil {
-		s.head = e
-	}
-}
-
-func (s *Store) unlink(e *entry) {
-	delete(s.items, e.key)
-	s.bytes -= e.size
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (s *Store) moveFront(e *entry) {
-	if s.head == e {
+// record marks key, size bytes on disk, as the most recently used entry.
+func (s *Store) record(key string, size int64) {
+	el, ok := s.items[key]
+	if !ok {
+		s.items[key] = s.lru.PushFront(&entry{key: key, size: size})
+		s.bytes += size
 		return
 	}
-	s.unlink(e) // unlink subtracts the size; pushFront re-adds it
-	s.pushFront(e)
+	e := el.Value.(*entry)
+	s.bytes += size - e.size
+	e.size = size
+	s.lru.MoveToFront(el)
+}
+
+func (s *Store) remove(el *list.Element) {
+	e := s.lru.Remove(el).(*entry)
+	delete(s.items, e.key)
+	s.bytes -= e.size
 }
 
 // --- paths ----------------------------------------------------------------
@@ -329,7 +296,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	if s.closed {
 		return nil, false
 	}
-	e, ok := s.items[key]
+	el, ok := s.items[key]
 	if !ok {
 		s.misses++
 		return nil, false
@@ -337,18 +304,18 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	data, err := os.ReadFile(s.objPath(key))
 	if err != nil {
 		// Index said present, disk disagrees: drop the entry, miss.
-		s.dropLocked(e, "e")
+		s.dropLocked(el)
 		s.misses++
 		return nil, false
 	}
 	payload, verr := verifyEntry(data)
 	if verr != nil {
-		s.quarantineLocked(e)
+		s.quarantineLocked(el)
 		s.misses++
 		return nil, false
 	}
 	s.hits++
-	s.moveFront(e)
+	s.lru.MoveToFront(el)
 	s.appendIndexLocked(indexRec{Op: "t", Key: key})
 	obs.ExpvarCounters().Add("castore_hits", 1)
 	return payload, true
@@ -387,28 +354,24 @@ func (s *Store) Put(key string, val []byte) error {
 	}
 	s.puts++
 	obs.ExpvarCounters().Add("castore_puts", 1)
-	if e, ok := s.items[key]; ok {
-		s.bytes += int64(len(framed)) - e.size
-		e.size = int64(len(framed))
-		s.moveFront(e)
-	} else {
-		s.pushFront(&entry{key: key, size: int64(len(framed))})
-	}
+	s.record(key, int64(len(framed)))
 	s.appendIndexLocked(indexRec{Op: "p", Key: key, Size: int64(len(framed))})
 	s.evictToBudgetLocked()
 	s.compactLocked(false)
 	return nil
 }
 
-// dropLocked removes e from the index (op "e") without touching its file.
-func (s *Store) dropLocked(e *entry, op string) {
-	s.unlink(e)
-	s.appendIndexLocked(indexRec{Op: op, Key: e.key})
+// dropLocked removes el from the index (op "e") without touching its file.
+func (s *Store) dropLocked(el *list.Element) {
+	e := el.Value.(*entry)
+	s.remove(el)
+	s.appendIndexLocked(indexRec{Op: "e", Key: e.key})
 }
 
 // quarantineLocked moves a corrupt entry's file aside and drops it from
 // the index: rot is preserved for forensics but never served.
-func (s *Store) quarantineLocked(e *entry) {
+func (s *Store) quarantineLocked(el *list.Element) {
+	e := el.Value.(*entry)
 	s.quarSeq++
 	dst := filepath.Join(s.dir, "quarantine", fmt.Sprintf("%s.%d.corrupt", e.key, s.quarSeq))
 	if err := os.Rename(s.objPath(e.key), dst); err != nil {
@@ -416,19 +379,19 @@ func (s *Store) quarantineLocked(e *entry) {
 	}
 	s.quarantined++
 	obs.ExpvarCounters().Add("castore_quarantined", 1)
-	s.dropLocked(e, "e")
+	s.dropLocked(el)
 }
 
 func (s *Store) evictToBudgetLocked() {
 	if s.opts.MaxBytes <= 0 {
 		return
 	}
-	for s.bytes > s.opts.MaxBytes && s.tail != nil {
-		victim := s.tail
-		_ = os.Remove(s.objPath(victim.key))
+	for s.bytes > s.opts.MaxBytes && s.lru.Len() > 0 {
+		victim := s.lru.Back()
+		_ = os.Remove(s.objPath(victim.Value.(*entry).key))
 		s.evictions++
 		obs.ExpvarCounters().Add("castore_evictions", 1)
-		s.dropLocked(victim, "e")
+		s.dropLocked(victim)
 	}
 }
 
@@ -458,7 +421,8 @@ func (s *Store) compactLocked(force bool) {
 		return
 	}
 	snap := make([]indexEntry, 0, len(s.items))
-	for e := s.head; e != nil; e = e.next {
+	for el := s.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*entry)
 		snap = append(snap, indexEntry{Key: e.key, Size: e.size})
 	}
 	b, err := json.Marshal(snap)
@@ -483,8 +447,8 @@ func (s *Store) Keys() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]string, 0, len(s.items))
-	for e := s.head; e != nil; e = e.next {
-		out = append(out, e.key)
+	for el := s.lru.Front(); el != nil; el = el.Next() {
+		out = append(out, el.Value.(*entry).key)
 	}
 	return out
 }

@@ -94,10 +94,13 @@ type wireMode struct {
 
 // apiError is a structured request failure: it renders as
 // {"error":{"code":...,"message":...}} with the HTTP status attached.
+// A refusal the client should retry sets retryAfter (seconds), which
+// adds a Retry-After header and error.retryAfterSeconds.
 type apiError struct {
-	status  int
-	code    string
-	message string
+	status     int
+	code       string
+	message    string
+	retryAfter int
 }
 
 func badRequest(format string, args ...any) *apiError {

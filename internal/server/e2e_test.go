@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -601,5 +602,36 @@ func TestRefusedSubmissionsReleaseRetention(t *testing.T) {
 	s.mu.Unlock()
 	if jobs != 0 || order > maxJobs {
 		t.Fatalf("after %d add/remove cycles: jobs=%d order=%d, want 0 and <= %d", cycles, jobs, order, maxJobs)
+	}
+}
+
+// TestJobRegistryEvictionAmortized: once the registry is full of
+// finished jobs, a submission must not pay for a walk over every
+// record. A compaction evicts down to a low watermark, so the next
+// maxJobs/8 submissions insert without scanning or copying, and a live
+// job is never evicted.
+func TestJobRegistryEvictionAmortized(t *testing.T) {
+	s := mustNew(t, Options{})
+	live := s.addJob(&optimizeRequest{}, false)
+	add := func() { s.addJob(&optimizeRequest{}, true).land(StatusDone, nil, "", false, "") }
+	for i := 0; i < maxJobs+maxJobs/4; i++ {
+		add()
+	}
+	const n = 2048
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		add()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > 8<<10 {
+		t.Fatalf("addJob at the retention bound allocates %d bytes on average, want < 8 KiB", per)
+	}
+	s.mu.Lock()
+	_, kept := s.jobs[live.id]
+	order := len(s.order)
+	s.mu.Unlock()
+	if !kept || order > maxJobs {
+		t.Fatalf("live job kept=%v, order=%d: want the live job kept and order <= %d", kept, order, maxJobs)
 	}
 }

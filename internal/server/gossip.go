@@ -36,8 +36,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
-	"time"
 
 	"wavemin/internal/rescache"
 	"wavemin/internal/shard"
@@ -61,9 +59,9 @@ func (s *Server) adoptMap(cand *shard.Map, source string) error {
 	cur := sh.Map()
 	if err := shard.ShouldAdopt(cur, cand); err != nil {
 		if errors.Is(err, shard.ErrStaleVersion) {
-			sh.bump(&sh.mapsStale, "maps_ignored_stale")
+			sh.count(&sh.met.MapsStale, "maps_ignored_stale")
 		} else {
-			sh.bump(&sh.mapsRejected, "maps_rejected")
+			sh.count(&sh.met.MapsRejected, "maps_rejected")
 		}
 		return err
 	}
@@ -71,7 +69,7 @@ func (s *Server) adoptMap(cand *shard.Map, source string) error {
 	s.drainSurrendered(cur, next)
 	sh.m.Store(next)
 	sh.mapGauge.Set(int64(next.Version))
-	sh.bump(&sh.mapsAdopted, "maps_adopted")
+	sh.count(&sh.met.MapsAdopted, "maps_adopted")
 	sh.vars.Add("maps_adopted_"+source, 1)
 	s.coord.SetShardLabel(shardLabel(sh.id, next.Version))
 	return nil
@@ -124,10 +122,10 @@ func (s *Server) drainTier(next *shard.Map, surrendered map[int]int, t *rescache
 			continue // evicted between snapshot and read
 		}
 		if err := s.pushKey(newOwner, path, key, val, next); err != nil {
-			sh.bump(&sh.handoffSendErrs, "handoff_send_errors")
+			sh.count(&sh.met.HandoffSendErrs, "handoff_send_errors")
 			continue
 		}
-		sh.bump(&sh.handoffSent, "handoff_keys_sent")
+		sh.count(&sh.met.HandoffSent, "handoff_keys_sent")
 	}
 }
 
@@ -136,23 +134,10 @@ func (s *Server) drainTier(next *shard.Map, surrendered map[int]int, t *rescache
 // bucket handoff (m = the map being adopted) and replication-on-write
 // (m = the current map).
 func (s *Server) pushKey(target int, path, key string, val []byte, m *shard.Map) error {
-	sh := s.sh
-	ctx, cancel := context.WithTimeout(context.Background(), sh.client.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, sh.peers[target]+path+key, bytes.NewReader(val))
+	resp, _, err := s.sh.roundTrip(context.Background(), target, http.MethodPut, path+key, val, m, maxShardMapBytes)
 	if err != nil {
 		return err
 	}
-	req.Header.Set(headerForwardedFrom, strconv.Itoa(sh.id))
-	req.Header.Set(headerShardMapVersion, strconv.Itoa(m.Version))
-	req.Header.Set(headerShardMap, m.Encode())
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := sh.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, maxShardMapBytes))
 	if resp.StatusCode != http.StatusNoContent {
 		return fmt.Errorf("peer %d answered %d", target, resp.StatusCode)
 	}
@@ -178,10 +163,10 @@ func (s *Server) replicateResult(key string, val []byte) {
 			continue
 		}
 		if err := s.pushKey(t, "/v1/shard/cache/", key, val, m); err != nil {
-			sh.bump(&sh.replicaPushErrs, "replica_push_errors")
+			sh.count(&sh.met.ReplicaPushErrs, "replica_push_errors")
 			continue
 		}
-		sh.bump(&sh.replicaPushes, "replica_pushes")
+		sh.count(&sh.met.ReplicaPushes, "replica_pushes")
 	}
 }
 
@@ -215,9 +200,8 @@ func (s *Server) handleShardPut(t *rescache.Tiered) http.HandlerFunc {
 			return
 		}
 		from, _ := forwardedFrom(r)
-		m, agreed := s.syncForwardedVersion(r, from)
-		if !agreed {
-			s.writeMapSkew(w, r.Header.Get(headerShardMapVersion))
+		m := s.agreeForwarded(w, r, from)
+		if m == nil {
 			return
 		}
 		owner, err := m.ShardOf(key)
@@ -228,12 +212,12 @@ func (s *Server) handleShardPut(t *rescache.Tiered) http.HandlerFunc {
 		switch {
 		case owner == sh.id:
 			t.Put(key, val)
-			sh.bump(&sh.handoffRecv, "handoff_keys_received")
+			sh.count(&sh.met.HandoffRecv, "handoff_keys_received")
 		case m.IsReplica(key, sh.id):
 			t.PutLocal(key, val)
-			sh.bump(&sh.replicaStored, "replica_keys_stored")
+			sh.count(&sh.met.ReplicaStored, "replica_keys_stored")
 		default:
-			sh.bump(&sh.pushRefused, "push_wrong_shard")
+			sh.count(&sh.met.PushRefused, "push_wrong_shard")
 			writeAPIError(w, &apiError{status: http.StatusMisdirectedRequest, code: "wrong_shard",
 				message: fmt.Sprintf("key belongs to shard %d; this node (shard %d) is neither its owner nor a replica", owner, sh.id)})
 			return
@@ -262,7 +246,7 @@ func (s *Server) handleShardMapPost(w http.ResponseWriter, r *http.Request) {
 	}
 	cand, err := shard.Decode(payload.Map)
 	if err != nil {
-		sh.bump(&sh.mapsRejected, "maps_rejected")
+		sh.count(&sh.met.MapsRejected, "maps_rejected")
 		writeAPIError(w, &apiError{status: http.StatusBadRequest, code: "bad_map",
 			message: err.Error()})
 		return
@@ -285,29 +269,18 @@ func (s *Server) handleShardMapPost(w http.ResponseWriter, r *http.Request) {
 // our version) is the quiet steady state, not a failure.
 func (s *Server) fetchAndAdopt(peer int) error {
 	sh := s.sh
-	if peer < 0 || peer >= len(sh.peers) || peer == sh.id {
-		return fmt.Errorf("server: gossip: no peer %d", peer)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), sh.client.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, sh.peers[peer]+"/v1/shard/map", nil)
+	resp, body, err := sh.roundTrip(context.Background(), peer, http.MethodGet, "/v1/shard/map", nil, sh.Map(), maxShardMapBytes)
 	if err != nil {
 		return err
 	}
-	resp, err := sh.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, maxShardMapBytes))
 		return fmt.Errorf("server: gossip: peer %d answered %d", peer, resp.StatusCode)
 	}
 	var payload struct {
 		MapVersion int    `json:"mapVersion"`
 		Map        string `json:"map"`
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxShardMapBytes)).Decode(&payload); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&payload); err != nil {
 		return fmt.Errorf("server: gossip: peer %d: %w", peer, err)
 	}
 	if payload.MapVersion <= sh.Map().Version {
@@ -317,47 +290,26 @@ func (s *Server) fetchAndAdopt(peer int) error {
 	}
 	cand, err := shard.Decode(payload.Map)
 	if err != nil {
-		sh.bump(&sh.mapsRejected, "maps_rejected")
+		sh.count(&sh.met.MapsRejected, "maps_rejected")
 		return fmt.Errorf("server: gossip: peer %d: %w", peer, err)
 	}
 	return s.adoptMap(cand, "gossip")
 }
 
-// gossipLoop is the anti-entropy pull: every GossipInterval, ask each
-// peer for its map and adopt anything newer. Forward-path piggybacking
-// converges the routes that carry traffic; this loop converges the ones
-// that don't — an idle node still follows a rebalance.
-func (s *Server) gossipLoop(interval time.Duration) {
-	defer s.gossipWG.Done()
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.gossipStop:
-			return
-		case <-tick.C:
-			s.gossipPullOnce()
-		}
-	}
-}
-
+// gossipPullOnce is the anti-entropy pull, run every GossipInterval:
+// ask each peer for its map and adopt anything newer. Forward-path
+// piggybacking converges the routes that carry traffic; this loop
+// converges the ones that don't — an idle node still follows a
+// rebalance.
 func (s *Server) gossipPullOnce() {
 	sh := s.sh
 	for p := range sh.peers {
 		if p == sh.id {
 			continue
 		}
-		sh.bump(&sh.gossipPulls, "gossip_pulls")
+		sh.count(&sh.met.GossipPulls, "gossip_pulls")
 		if err := s.fetchAndAdopt(p); err != nil && !errors.Is(err, shard.ErrStaleVersion) {
-			sh.bump(&sh.gossipErrs, "gossip_errors")
+			sh.count(&sh.met.GossipErrs, "gossip_errors")
 		}
 	}
-}
-
-func (s *Server) stopGossip() {
-	if s.gossipStop == nil {
-		return
-	}
-	s.gossipStopOnce.Do(func() { close(s.gossipStop) })
-	s.gossipWG.Wait()
 }

@@ -17,6 +17,14 @@
 //	                           the request asked for one
 //	GET  /healthz              liveness (503 while draining)
 //	GET  /debug/vars, /debug/pprof/...   expvar + pprof (Options.Debug)
+//	     /v1/dispatch/*        the worker lease protocol (Options.Dispatch)
+//
+// A sharded node (Options.ShardMap; see shardroute.go) also serves its
+// peers:
+//
+//	GET, POST /v1/shard/map          read, or inject, the live shard map
+//	GET, PUT  /v1/shard/cache/{key}  peer read-through and push of a result
+//	GET, PUT  /v1/shard/zones/{key}  the same for zone solutions
 //
 // Results are cached under the canonical content hash of (tree, config,
 // modes) — wavemin.Design.CacheKey — so resubmitting an identical
@@ -167,9 +175,10 @@ func (o Options) withDefaults() Options {
 
 // Fixed service bounds.
 const (
-	maxRequestBytes = 8 << 20          // request body bound
-	maxJobs         = 4096             // job records retained (finished ones evicted first)
-	checkpointEvery = 30 * time.Second // journal compaction cadence
+	maxRequestBytes = 8 << 20             // request body bound
+	maxJobs         = 4096                // job records retained (finished ones evicted first)
+	jobsLowWater    = maxJobs - maxJobs/8 // what a registry compaction evicts down to
+	checkpointEvery = 30 * time.Second    // journal compaction cadence
 )
 
 // Job statuses on the wire.
@@ -273,40 +282,12 @@ type RecoveryInfo struct {
 	Quarantined  int   // journal segments quarantined by best-effort recovery
 }
 
-type counters struct {
-	submitted        atomic.Int64
-	solverRuns       atomic.Int64
-	cacheHits        atomic.Int64
-	cacheMisses      atomic.Int64
-	completed        atomic.Int64
-	failed           atomic.Int64
-	expired          atomic.Int64
-	rejectedFull     atomic.Int64
-	rejectedDraining atomic.Int64
-	ecoReused        atomic.Int64
-	ecoResolved      atomic.Int64
-
-	yieldJobs         atomic.Int64
-	yieldChunks       atomic.Int64
-	yieldChunksInline atomic.Int64
-	yieldSamplesSaved atomic.Int64
-	yieldEarlyStops   atomic.Int64
-}
-
-// bump increments a counter and mirrors it into the process-wide expvar
-// map, so /debug/vars shows live service totals.
-func bump(c *atomic.Int64, expvarName string) {
-	c.Add(1)
-	obs.ExpvarCounters().Add(expvarName, 1)
-}
-
 // Server is the wavemind service. Construct with New; serve Handler().
 type Server struct {
 	opts    Options
 	q       *jobq.Queue
 	cache   *rescache.Tiered
-	mux     *http.ServeMux
-	handler http.Handler // mux, wrapped (when sharded) in the version-piggyback middleware
+	handler http.Handler // the route mux, wrapped (when sharded) in the version-piggyback middleware
 
 	coord      *dispatch.Coordinator // local executor and lease sweeper; protocol mounted iff Options.Dispatch was set
 	dispatchWG sync.WaitGroup        // finishDispatched and yield-driver goroutines in flight
@@ -323,30 +304,36 @@ type Server struct {
 
 	sh *shardState // non-nil iff Options.ShardMap was set
 
-	// Anti-entropy gossip loop; nil/zero unless sharded with a
-	// GossipInterval.
-	gossipStop     chan struct{}
-	gossipStopOnce sync.Once
-	gossipWG       sync.WaitGroup
+	gossip *loop // anti-entropy pull; nil unless sharded with a GossipInterval
 
 	// Durable tier; all nil/zero when Options.DataDir is unset.
-	store      *castore.Store // backs cache
-	zoneStore  *castore.Store // backs zones (Options.Eco only)
-	wal        *wal.Writer
-	recovery   RecoveryInfo
-	ckStop     chan struct{}
-	ckStopOnce sync.Once
-	ckWG       sync.WaitGroup
-	ckErrs     atomic.Int64
+	store       *castore.Store // backs cache
+	zoneStore   *castore.Store // backs zones (Options.Eco only)
+	wal         *wal.Writer
+	recovery    RecoveryInfo
+	checkpoints *loop // journal compaction
 
 	ready    atomic.Bool
-	draining atomic.Bool
+	draining atomic.Bool // set under mu, so admit's check-and-Add cannot race Drain
 	nextID   atomic.Int64
-	met      counters
+
+	// met holds the counters; MetricsSnapshot adds the gauges and the
+	// sub-stats of the queue, caches and stores.
+	metMu sync.Mutex
+	met   Metrics
 
 	mu    sync.Mutex
 	jobs  map[string]*job
 	order []string // submission order, for bounded retention
+}
+
+// count adds n to one of s.met's counters and mirrors the change into
+// the process-wide expvar map, so /debug/vars shows live service totals.
+func (s *Server) count(field *int64, expvarName string, n int64) {
+	s.metMu.Lock()
+	*field += n
+	s.metMu.Unlock()
+	obs.ExpvarCounters().Add(expvarName, n)
 }
 
 // New builds a server and starts its worker pool. With Options.DataDir
@@ -473,7 +460,6 @@ func New(opts Options) (*Server, error) {
 		// cmd/wavemin's -debug-addr serves.
 		mux.Handle("GET /debug/", http.DefaultServeMux)
 	}
-	s.mux = mux
 	s.handler = http.Handler(mux)
 	if s.sh != nil {
 		// Piggyback this node's live map version on EVERY response, so any
@@ -493,17 +479,11 @@ func New(opts Options) (*Server, error) {
 		}
 		// Compact the replayed history into one checkpoint so the next
 		// start replays from here, and keep compacting in the background.
-		if err := s.q.CheckpointJournal(); err != nil {
-			s.ckErrs.Add(1)
-		}
-		s.ckStop = make(chan struct{})
-		s.ckWG.Add(1)
-		go s.checkpointLoop()
+		s.checkpoint()
+		s.checkpoints = startLoop(checkpointEvery, s.checkpoint)
 	}
 	if s.sh != nil && opts.GossipInterval > 0 {
-		s.gossipStop = make(chan struct{})
-		s.gossipWG.Add(1)
-		go s.gossipLoop(opts.GossipInterval)
+		s.gossip = startLoop(opts.GossipInterval, s.gossipPullOnce)
 	}
 	s.ready.Store(true)
 	return s, nil
@@ -577,21 +557,9 @@ func (s *Server) reattachJob(id string, pri jobq.Priority) *job {
 			}
 		}
 	}
-	j := &job{
-		id:  id,
-		pri: pri,
-		// The original submission time died with the crashed process;
-		// recovery time is the honest substitute.
-		submitted: time.Now(),
-		status:    StatusQueued,
-		cancel:    func() {},
-	}
-	s.mu.Lock()
-	s.jobs[id] = j
-	s.order = append(s.order, id)
-	s.evictJobsLocked()
-	s.mu.Unlock()
-	return j
+	// The original submission time died with the crashed process;
+	// recovery time is the honest substitute.
+	return s.insertJob(id, pri, false)
 }
 
 func parseJobID(id string, n *int64) error {
@@ -603,30 +571,52 @@ func parseJobID(id string, n *int64) error {
 	return err
 }
 
-// checkpointLoop compacts the journal periodically so replay time stays
-// proportional to the live backlog, not to total history.
-func (s *Server) checkpointLoop() {
-	defer s.ckWG.Done()
-	tick := time.NewTicker(checkpointEvery)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.ckStop:
-			return
-		case <-tick.C:
-			if err := s.q.CheckpointJournal(); err != nil {
-				s.ckErrs.Add(1)
-			}
-		}
+// checkpoint compacts the journal into one snapshot, so replay time
+// stays proportional to the live backlog, not to total history. A
+// failure is counted; the journal just replays longer.
+func (s *Server) checkpoint() {
+	if err := s.q.CheckpointJournal(); err != nil {
+		s.metMu.Lock()
+		s.met.CheckpointErrs++
+		s.metMu.Unlock()
 	}
 }
 
-func (s *Server) stopCheckpoints() {
-	if s.ckStop == nil {
+// loop runs fn every interval on its own goroutine until halted: the
+// journal checkpointer and the anti-entropy gossip pull.
+type loop struct {
+	stop     chan struct{}
+	stopOnce sync.Once
+	wg       sync.WaitGroup
+}
+
+func startLoop(interval time.Duration, fn func()) *loop {
+	l := &loop{stop: make(chan struct{})}
+	l.wg.Add(1)
+	go func() {
+		defer l.wg.Done()
+		tick := time.NewTicker(interval)
+		defer tick.Stop()
+		for {
+			select {
+			case <-l.stop:
+				return
+			case <-tick.C:
+				fn()
+			}
+		}
+	}()
+	return l
+}
+
+// halt stops the loop and waits for its goroutine. Halting a loop never
+// started (nil) or already halted is a no-op.
+func (l *loop) halt() {
+	if l == nil {
 		return
 	}
-	s.ckStopOnce.Do(func() { close(s.ckStop) })
-	s.ckWG.Wait()
+	l.stopOnce.Do(func() { close(l.stop) })
+	l.wg.Wait()
 }
 
 // Crash simulates a power failure for recovery tests: background
@@ -635,8 +625,8 @@ func (s *Server) stopCheckpoints() {
 // it. The server is unusable afterward; recover by calling New on the
 // same DataDir.
 func (s *Server) Crash() {
-	s.stopGossip()
-	s.stopCheckpoints()
+	s.gossip.halt()
+	s.checkpoints.halt()
 	s.coord.Close()
 	if s.wal != nil {
 		s.wal.Abort()
@@ -654,8 +644,10 @@ func (s *Server) Handler() http.Handler { return s.handler }
 // draining) and waits until every accepted job has finished or ctx
 // expires — the SIGTERM path.
 func (s *Server) Drain(ctx context.Context) error {
+	s.mu.Lock()
 	s.draining.Store(true)
-	s.stopGossip()
+	s.mu.Unlock()
+	s.gossip.halt()
 	err := s.q.Drain(ctx)
 	if err == nil {
 		// The queue resolved every ticket; wait for the goroutines that
@@ -668,13 +660,11 @@ func (s *Server) Drain(ctx context.Context) error {
 		// stays crash-consistent and the next start recovers it.
 		return err
 	}
-	s.stopCheckpoints()
+	s.checkpoints.halt()
 	if s.wal != nil {
 		// Every job is terminal: a final checkpoint leaves an empty
 		// snapshot, so the next start replays nothing.
-		if cerr := s.q.CheckpointJournal(); cerr != nil {
-			s.ckErrs.Add(1)
-		}
+		s.checkpoint()
 		if cerr := s.wal.Close(); cerr != nil {
 			err = cerr
 		}
@@ -726,40 +716,24 @@ func (s *Server) Coordinator() *dispatch.Coordinator { return s.coord }
 
 // MetricsSnapshot returns the server's counters.
 func (s *Server) MetricsSnapshot() Metrics {
+	s.metMu.Lock()
+	m := s.met
+	s.metMu.Unlock()
 	tiered := s.cache.Stats()
-	m := Metrics{
-		Submitted:        s.met.submitted.Load(),
-		SolverRuns:       s.met.solverRuns.Load(),
-		CacheHits:        s.met.cacheHits.Load(),
-		CacheMisses:      s.met.cacheMisses.Load(),
-		Completed:        s.met.completed.Load(),
-		Failed:           s.met.failed.Load(),
-		Expired:          s.met.expired.Load(),
-		RejectedFull:     s.met.rejectedFull.Load(),
-		RejectedDraining: s.met.rejectedDraining.Load(),
-		CacheStats:       tiered.Mem,
-		QueueStats:       s.q.Snapshot(),
-		TieredCache:      tiered,
-		JournalErrs:      s.q.JournalErrs(),
-		CheckpointErrs:   s.ckErrs.Load(),
-		Recovery:         s.recovery,
-	}
+	m.CacheStats = tiered.Mem
+	m.QueueStats = s.q.Snapshot()
+	m.TieredCache = tiered
+	m.JournalErrs = s.q.JournalErrs()
+	m.Recovery = s.recovery
 	if s.store != nil {
 		m.StoreStats = s.store.Stats()
 	}
 	if s.zones != nil {
-		m.EcoZonesReused = s.met.ecoReused.Load()
-		m.EcoZonesResolved = s.met.ecoResolved.Load()
 		m.ZoneCache = s.zones.Stats()
 	}
 	if s.sh != nil {
 		m.Shard = s.sh.metrics()
 	}
-	m.YieldJobs = s.met.yieldJobs.Load()
-	m.YieldChunks = s.met.yieldChunks.Load()
-	m.YieldChunksInline = s.met.yieldChunksInline.Load()
-	m.YieldSamplesSaved = s.met.yieldSamplesSaved.Load()
-	m.YieldEarlyStops = s.met.yieldEarlyStops.Load()
 	return m
 }
 
@@ -767,7 +741,7 @@ func (s *Server) MetricsSnapshot() Metrics {
 
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		s.rejectDraining(w)
+		s.writeSubmitError(w, jobq.ErrDraining)
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
@@ -796,14 +770,14 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, apiErr)
 		return
 	}
-	bump(&s.met.submitted, "server_jobs_submitted")
+	s.count(&s.met.Submitted, "server_jobs_submitted", 1)
 
 	if !req.noCache {
 		if blob, ok := s.cache.Get(req.key); ok {
 			s.serveCacheHit(w, req, blob)
 			return
 		}
-		bump(&s.met.cacheMisses, "server_cache_misses")
+		s.count(&s.met.CacheMisses, "server_cache_misses", 1)
 	}
 
 	j := s.addJob(req, false)
@@ -830,7 +804,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 // node's cache or a replica's copy — with a cache-hit job record minted
 // already finished.
 func (s *Server) serveCacheHit(w http.ResponseWriter, req *optimizeRequest, blob []byte) {
-	bump(&s.met.cacheHits, "server_cache_hits")
+	s.count(&s.met.CacheHits, "server_cache_hits", 1)
 	var res struct {
 		AlgorithmUsed string
 	}
@@ -942,10 +916,8 @@ func (s *Server) landZones(j *job, zones map[string][]byte, reused, resolved int
 	if s.zones == nil {
 		return
 	}
-	s.met.ecoReused.Add(int64(reused))
-	s.met.ecoResolved.Add(int64(resolved))
-	obs.ExpvarCounters().Add("server_eco_zones_reused", int64(reused))
-	obs.ExpvarCounters().Add("server_eco_zones_resolved", int64(resolved))
+	s.count(&s.met.EcoZonesReused, "server_eco_zones_reused", int64(reused))
+	s.count(&s.met.EcoZonesResolved, "server_eco_zones_resolved", int64(resolved))
 	keys := make([]string, 0, len(zones))
 	for k, v := range zones {
 		s.zones.Put(k, v)
@@ -964,23 +936,18 @@ func (s *Server) landZones(j *job, zones map[string][]byte, reused, resolved int
 	j.mu.Unlock()
 }
 
-// writeSubmitError renders a queue-admission failure: 429 + Retry-After
-// on a full backlog, 503 while draining, 400 otherwise.
+// writeSubmitError renders an admission failure: 429 + Retry-After on a
+// full backlog, 503 while draining, 400 otherwise.
 func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, jobq.ErrFull):
-		bump(&s.met.rejectedFull, "server_rejected_full")
-		retry := s.q.RetryAfter()
-		w.Header().Set("Retry-After", strconv.Itoa(int(retry.Seconds())))
-		writeJSON(w, http.StatusTooManyRequests, map[string]any{
-			"error": map[string]any{
-				"code":              "queue_full",
-				"message":           "job queue at capacity; retry later",
-				"retryAfterSeconds": int(retry.Seconds()),
-			},
-		})
+		s.count(&s.met.RejectedFull, "server_rejected_full", 1)
+		writeAPIError(w, &apiError{status: http.StatusTooManyRequests, code: "queue_full",
+			message: "job queue at capacity; retry later", retryAfter: int(s.q.RetryAfter().Seconds())})
 	case errors.Is(err, jobq.ErrDraining):
-		s.rejectDraining(w)
+		s.count(&s.met.RejectedDraining, "server_rejected_draining", 1)
+		writeAPIError(w, &apiError{status: http.StatusServiceUnavailable, code: "draining",
+			message: "server is draining; not accepting new jobs"})
 	default:
 		writeAPIError(w, badRequest("submit: %v", err))
 	}
@@ -1006,12 +973,29 @@ func (s *Server) submitDispatched(jctx context.Context, j *job, req *optimizeReq
 		tr = j.startTrace()
 		s.recordForwardHop(tr, req)
 	}
-	tk, err := s.q.SubmitLeasable(jctx, req.pri, spec, s.observeJob(j, tr))
-	if err != nil {
+	if err := s.admit(); err != nil {
 		return err
 	}
-	s.dispatchWG.Add(1)
+	tk, err := s.q.SubmitLeasable(jctx, req.pri, spec, s.observeJob(j, tr))
+	if err != nil {
+		s.dispatchWG.Done()
+		return err
+	}
 	go s.finishDispatched(j, req.key, req.noCache, tr, tk)
+	return nil
+}
+
+// admit reserves Drain's wait for one job goroutine — a finisher or a
+// yield driver — or refuses with jobq.ErrDraining once Drain has begun.
+// The check and the Add hold s.mu, under which Drain sets draining, so
+// no Add can race Drain's Wait.
+func (s *Server) admit() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining.Load() {
+		return jobq.ErrDraining
+	}
+	s.dispatchWG.Add(1)
 	return nil
 }
 
@@ -1029,7 +1013,7 @@ func (s *Server) observeJob(j *job, tr *obs.Trace) func(jobq.LeaseEvent) {
 		if ev.Kind != jobq.LeaseGranted {
 			return
 		}
-		bump(&s.met.solverRuns, "server_solver_runs")
+		s.count(&s.met.SolverRuns, "server_solver_runs", 1)
 		j.mu.Lock()
 		if j.status == StatusQueued {
 			j.status = StatusRunning
@@ -1082,22 +1066,15 @@ func (s *Server) finish(j *job, blob []byte, algorithm string, degraded bool, er
 	status, msg := StatusDone, ""
 	switch {
 	case err == nil:
-		bump(&s.met.completed, "server_jobs_completed")
+		s.count(&s.met.Completed, "server_jobs_completed", 1)
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		status, msg = StatusExpired, err.Error()
-		bump(&s.met.expired, "server_jobs_expired")
+		s.count(&s.met.Expired, "server_jobs_expired", 1)
 	default:
 		status, msg = StatusFailed, err.Error()
-		bump(&s.met.failed, "server_jobs_failed")
+		s.count(&s.met.Failed, "server_jobs_failed", 1)
 	}
 	j.land(status, blob, algorithm, degraded, msg)
-}
-
-func (s *Server) rejectDraining(w http.ResponseWriter) {
-	bump(&s.met.rejectedDraining, "server_rejected_draining")
-	writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-		"error": map[string]any{"code": "draining", "message": "server is draining; not accepting new jobs"},
-	})
 }
 
 // land moves j to a terminal state.
@@ -1139,10 +1116,14 @@ func (s *Server) newJobID() string {
 }
 
 func (s *Server) addJob(req *optimizeRequest, cacheHit bool) *job {
-	id := s.newJobID()
+	return s.insertJob(s.newJobID(), req.pri, cacheHit)
+}
+
+// insertJob registers a fresh queued record, submitted now, under id.
+func (s *Server) insertJob(id string, pri jobq.Priority, cacheHit bool) *job {
 	j := &job{
 		id:        id,
-		pri:       req.pri,
+		pri:       pri,
 		cacheHit:  cacheHit,
 		submitted: time.Now(),
 		status:    StatusQueued,
@@ -1162,11 +1143,12 @@ func (s *Server) removeJob(id string) {
 	s.mu.Unlock()
 }
 
-// evictJobsLocked drops the oldest FINISHED job records beyond maxJobs,
-// so the registry cannot grow without bound while never forgetting a
-// live job. The guard counts s.order, not s.jobs: removeJob (a refused
-// submission) deletes only the record, and the compaction below is what
-// drops its ID. Caller holds s.mu.
+// evictJobsLocked compacts the registry once s.order passes maxJobs: it
+// drops the oldest FINISHED records down to jobsLowWater, so the registry
+// cannot grow without bound, never forgets a live job, and the next
+// maxJobs/8 insertions skip the walk. The guard counts s.order, not
+// s.jobs: removeJob (a refused submission) deletes only the record, and
+// the compaction below is what drops its ID. Caller holds s.mu.
 func (s *Server) evictJobsLocked() {
 	if len(s.order) <= maxJobs {
 		return
@@ -1177,7 +1159,7 @@ func (s *Server) evictJobsLocked() {
 		if !ok {
 			continue
 		}
-		if len(s.jobs) > maxJobs {
+		if len(s.jobs) > jobsLowWater {
 			j.mu.Lock()
 			finished := j.status == StatusDone || j.status == StatusFailed || j.status == StatusExpired
 			j.mu.Unlock()
@@ -1188,7 +1170,8 @@ func (s *Server) evictJobsLocked() {
 		}
 		kept = append(kept, id)
 	}
-	s.order = append([]string(nil), kept...)
+	clear(s.order[len(kept):]) // let the dropped IDs be collected
+	s.order = kept
 }
 
 func (s *Server) lookup(id string) *job {
@@ -1199,16 +1182,31 @@ func (s *Server) lookup(id string) *job {
 
 // --- read endpoints ------------------------------------------------------
 
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	if s.sh != nil && s.routeJobRead(w, r, r.PathValue("id")) {
-		return
+// jobFor is the prelude of every job read: route the read to the job's
+// owning shard, then look the job up here. nil means the response is
+// already written — relayed, refused, or 404.
+func (s *Server) jobFor(w http.ResponseWriter, r *http.Request) *job {
+	id := r.PathValue("id")
+	if s.sh != nil && s.routeJobRead(w, r, id) {
+		return nil
 	}
-	j := s.lookup(r.PathValue("id"))
+	j := s.lookup(id)
 	if j == nil {
 		writeAPIError(w, &apiError{status: http.StatusNotFound, code: "unknown_job", message: "no such job"})
-		return
 	}
-	writeJSON(w, http.StatusOK, j.view())
+	return j
+}
+
+// notFinished refuses a result or trace read of a job still in status.
+func notFinished(status string) *apiError {
+	return &apiError{status: http.StatusConflict, code: "not_finished",
+		message: "job is " + status + "; poll GET /v1/jobs/{id}"}
+}
+
+func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
+	if j := s.jobFor(w, r); j != nil {
+		writeJSON(w, http.StatusOK, j.view())
+	}
 }
 
 func (j *job) view() jobView {
@@ -1237,12 +1235,8 @@ func (j *job) view() jobView {
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	if s.sh != nil && s.routeJobRead(w, r, r.PathValue("id")) {
-		return
-	}
-	j := s.lookup(r.PathValue("id"))
+	j := s.jobFor(w, r)
 	if j == nil {
-		writeAPIError(w, &apiError{status: http.StatusNotFound, code: "unknown_job", message: "no such job"})
 		return
 	}
 	j.mu.Lock()
@@ -1259,23 +1253,15 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 			"result":   json.RawMessage(blob),
 		})
 	case StatusFailed, StatusExpired:
-		writeJSON(w, http.StatusConflict, map[string]any{
-			"error": map[string]any{"code": "job_" + status, "message": errMsg},
-		})
+		writeAPIError(w, &apiError{status: http.StatusConflict, code: "job_" + status, message: errMsg})
 	default:
-		writeJSON(w, http.StatusConflict, map[string]any{
-			"error": map[string]any{"code": "not_finished", "message": "job is " + status + "; poll GET /v1/jobs/{id}"},
-		})
+		writeAPIError(w, notFinished(status))
 	}
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if s.sh != nil && s.routeJobRead(w, r, r.PathValue("id")) {
-		return
-	}
-	j := s.lookup(r.PathValue("id"))
+	j := s.jobFor(w, r)
 	if j == nil {
-		writeAPIError(w, &apiError{status: http.StatusNotFound, code: "unknown_job", message: "no such job"})
 		return
 	}
 	j.mu.Lock()
@@ -1288,9 +1274,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if status == StatusQueued || status == StatusRunning {
-		writeJSON(w, http.StatusConflict, map[string]any{
-			"error": map[string]any{"code": "not_finished", "message": "job is " + status + "; poll GET /v1/jobs/{id}"},
-		})
+		writeAPIError(w, notFinished(status))
 		return
 	}
 	w.Header().Set("Content-Type", "application/jsonl")
@@ -1324,7 +1308,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func writeAPIError(w http.ResponseWriter, e *apiError) {
-	writeJSON(w, e.status, map[string]any{
-		"error": map[string]any{"code": e.code, "message": e.message},
-	})
+	body := map[string]any{"code": e.code, "message": e.message}
+	if e.retryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(e.retryAfter))
+		body["retryAfterSeconds"] = e.retryAfter
+	}
+	writeJSON(w, e.status, map[string]any{"error": body})
 }

@@ -22,6 +22,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -631,5 +632,87 @@ func TestShardFleetChaosKillRestart(t *testing.T) {
 	}
 	if unavailable == 0 {
 		t.Fatal("no node counted a shard_unavailable refusal")
+	}
+}
+
+// TestParallelServerCounters race-checks the counter sets: concurrent
+// cache-hit submissions forwarded across a two-node pair, and peer
+// read-through lookups, run while another goroutine snapshots both
+// nodes' metrics. Every total must come out exact.
+func TestParallelServerCounters(t *testing.T) {
+	fl := newFleet(t, 2, Options{})
+	body := keyOwnedBy(t, fl.m, 1)
+	req, apiErr := decodeOptimizeRequest(body, Options{}.withDefaults())
+	if apiErr != nil {
+		t.Fatal(apiErr.message)
+	}
+	code, resp, _ := fl.post(1, body)
+	if code != http.StatusAccepted {
+		t.Fatalf("warm-up submit: status %d, body %v", code, resp)
+	}
+	if v, ok := fl.waitJob(1, jobID(t, resp), 30*time.Second); !ok || v.Status != StatusDone {
+		t.Fatalf("warm-up job finished %s (ok=%v)", v.Status, ok)
+	}
+	src, dst := fl.nodes[0].srv.Load(), fl.nodes[1].srv.Load()
+
+	const goroutines, perG = 4, 25
+	stop := make(chan struct{})
+	snapped := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				snapped <- n
+				return
+			default:
+				src.MetricsSnapshot()
+				dst.MetricsSnapshot()
+				n++
+			}
+		}
+	}()
+	// status drains a response for the request goroutines, which must
+	// report with t.Error rather than the fleet helpers' t.Fatal.
+	status := func(resp *http.Response, err error) int {
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		_, _ = buf.ReadFrom(resp.Body)
+		return resp.StatusCode
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				if code := status(http.Post(fl.peers[0]+"/v1/optimize", "application/json", bytes.NewReader(body))); code != http.StatusOK {
+					t.Errorf("forwarded hit: status %d", code)
+					return
+				}
+				if code := status(http.Get(fl.peers[1] + "/v1/shard/cache/" + req.key)); code != http.StatusOK {
+					t.Errorf("peer lookup: status %d", code)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if <-snapped == 0 {
+		t.Fatal("no metrics snapshot overlapped the submissions")
+	}
+	const n = goroutines * perG
+	sm, dm := src.MetricsSnapshot(), dst.MetricsSnapshot()
+	got := []int64{sm.Submitted, sm.Shard.ForwardsOut, dm.Submitted, dm.CacheHits, dm.Shard.ForwardsIn, dm.Shard.PeerServeHits}
+	want := []int64{0, n, 1 + n, n, n, n}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("src Submitted/ForwardsOut, dst Submitted/CacheHits/ForwardsIn/PeerServeHits = %v, want %v", got, want)
+		}
 	}
 }

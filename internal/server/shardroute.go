@@ -93,7 +93,7 @@ const maxShardMapBytes = 1 << 20
 const maxForwardInFlight = 128
 
 // peerTimeout bounds each peer call — forwarded requests, cache
-// read-throughs and pushes alike.
+// read-throughs, pushes and map pulls alike (http.Client.Timeout).
 const peerTimeout = 15 * time.Second
 
 // shardUnavailableRetrySeconds is the Retry-After hint on 503
@@ -117,29 +117,9 @@ type shardState struct {
 	adoptMu  sync.Mutex  // serializes adoptMap (drain, then flip)
 	mapGauge *expvar.Int // live map version (point-in-time, not a counter)
 
-	forwardsOut     atomic.Int64
-	forwardsIn      atomic.Int64
-	wrongShard      atomic.Int64
-	unavailable     atomic.Int64
-	backpressure    atomic.Int64
-	badJobID        atomic.Int64
-	mapVersionConf  atomic.Int64
-	peerServeHits   atomic.Int64
-	peerServeMisses atomic.Int64
-
-	mapsAdopted     atomic.Int64
-	mapsStale       atomic.Int64
-	mapsRejected    atomic.Int64
-	gossipPulls     atomic.Int64
-	gossipErrs      atomic.Int64
-	handoffSent     atomic.Int64
-	handoffSendErrs atomic.Int64
-	handoffRecv     atomic.Int64
-	replicaStored   atomic.Int64
-	pushRefused     atomic.Int64
-	replicaPushes   atomic.Int64
-	replicaPushErrs atomic.Int64
-	replicaHits     atomic.Int64
+	// met holds the routing counters; metrics adds the map gauges.
+	metMu sync.Mutex
+	met   ShardMetrics
 }
 
 // Map returns the node's current shard map. The returned map is
@@ -216,42 +196,24 @@ func newShardState(opts Options) (*shardState, error) {
 	return sh, nil
 }
 
-// bump increments a routing counter and mirrors it into the node's
-// per-shard expvar map.
-func (sh *shardState) bump(c *atomic.Int64, name string) {
-	c.Add(1)
+// count increments one of sh.met's counters and mirrors it into the
+// node's per-shard expvar map.
+func (sh *shardState) count(field *int64, name string) {
+	sh.metMu.Lock()
+	*field++
+	sh.metMu.Unlock()
 	sh.vars.Add(name, 1)
 }
 
 func (sh *shardState) metrics() ShardMetrics {
+	sh.metMu.Lock()
+	out := sh.met
+	sh.metMu.Unlock()
 	m := sh.Map()
-	return ShardMetrics{
-		ShardID:         sh.id,
-		MapVersion:      m.Version,
-		Shards:          m.Shards,
-		ForwardsOut:     sh.forwardsOut.Load(),
-		ForwardsIn:      sh.forwardsIn.Load(),
-		WrongShard:      sh.wrongShard.Load(),
-		Unavailable:     sh.unavailable.Load(),
-		Backpressure:    sh.backpressure.Load(),
-		BadJobID:        sh.badJobID.Load(),
-		MapVersionConf:  sh.mapVersionConf.Load(),
-		PeerServeHits:   sh.peerServeHits.Load(),
-		PeerServeMisses: sh.peerServeMisses.Load(),
-		MapsAdopted:     sh.mapsAdopted.Load(),
-		MapsStale:       sh.mapsStale.Load(),
-		MapsRejected:    sh.mapsRejected.Load(),
-		GossipPulls:     sh.gossipPulls.Load(),
-		GossipErrs:      sh.gossipErrs.Load(),
-		HandoffSent:     sh.handoffSent.Load(),
-		HandoffSendErrs: sh.handoffSendErrs.Load(),
-		HandoffRecv:     sh.handoffRecv.Load(),
-		ReplicaStored:   sh.replicaStored.Load(),
-		PushRefused:     sh.pushRefused.Load(),
-		ReplicaPushes:   sh.replicaPushes.Load(),
-		ReplicaPushErrs: sh.replicaPushErrs.Load(),
-		ReplicaHits:     sh.replicaHits.Load(),
-	}
+	out.ShardID = sh.id
+	out.MapVersion = m.Version
+	out.Shards = m.Shards
+	return out
 }
 
 // forwardedFrom reports whether r is a peer-forwarded request and which
@@ -269,53 +231,44 @@ func forwardedFrom(r *http.Request) (from int, forwarded bool) {
 	return n, true
 }
 
-// syncForwardedVersion reconciles a forwarded request's map version with
-// this node's. Equal versions agree immediately. A sender that is AHEAD
-// is the convergence signal: this node fetches the sender's map and
-// adopts it (through the shard.ShouldAdopt gate) before re-checking, so
-// a lagging receiver catches up inside the request instead of bouncing
-// 409s until gossip arrives. A sender that is behind — or a fetch that
-// fails — leaves the skew standing, and the caller answers the 409; the
-// response carries this node's version (piggyback middleware), so the
-// SENDER then adopts and retries. Returns the map to route by and
-// whether the versions agree.
-func (s *Server) syncForwardedVersion(r *http.Request, from int) (*shard.Map, bool) {
+// agreeForwarded reconciles a forwarded request's map version with this
+// node's and returns the map to route by. Equal versions agree
+// immediately. A sender that is AHEAD is the convergence signal: this
+// node fetches the sender's map and adopts it (through the
+// shard.ShouldAdopt gate) before re-checking, so a lagging receiver
+// catches up inside the request instead of bouncing 409s until gossip
+// arrives. A sender that is behind — or a fetch that fails — leaves the
+// skew standing: agreeForwarded answers the retryable 409 of the routing
+// contract and returns nil. That response carries this node's version
+// (piggyback middleware), so the SENDER then adopts and retries.
+func (s *Server) agreeForwarded(w http.ResponseWriter, r *http.Request, from int) *shard.Map {
 	sh := s.sh
 	m := sh.Map()
-	v, err := strconv.Atoi(r.Header.Get(headerShardMapVersion))
-	if err != nil {
-		return m, false
+	senderVer := r.Header.Get(headerShardMapVersion)
+	v, err := strconv.Atoi(senderVer)
+	if err == nil && v == m.Version {
+		return m
 	}
-	if v == m.Version {
-		return m, true
-	}
-	if v > m.Version && from >= 0 && from < len(sh.peers) && from != sh.id {
+	if err == nil && v > m.Version && from >= 0 && from < len(sh.peers) && from != sh.id {
 		if enc := r.Header.Get(headerShardMap); enc != "" && len(enc) <= maxShardMapBytes {
 			// Handoff pushes carry the map inline: the sender is mid-adoption
 			// and cannot serve the new version over GET yet.
 			if cand, derr := shard.Decode(enc); derr == nil {
 				_ = s.adoptMap(cand, "piggyback")
 			} else {
-				sh.bump(&sh.mapsRejected, "maps_rejected")
+				sh.count(&sh.met.MapsRejected, "maps_rejected")
 			}
 		} else {
 			_ = s.fetchAndAdopt(from)
 		}
 		if m = sh.Map(); v == m.Version {
-			return m, true
+			return m
 		}
 	}
-	return m, false
-}
-
-// writeMapSkew answers version skew that survived catch-up: the
-// retryable 409 of the routing contract. The piggybacked version header
-// on this very response is what lets the sender converge and retry.
-func (s *Server) writeMapSkew(w http.ResponseWriter, senderVer string) {
-	sh := s.sh
-	sh.bump(&sh.mapVersionConf, "map_version_conflicts")
+	sh.count(&sh.met.MapVersionConf, "map_version_conflicts")
 	writeAPIError(w, &apiError{status: http.StatusConflict, code: "shard_map_version",
 		message: fmt.Sprintf("shard map version skew: sender has %q, this node has %d; retry after the rebalance settles", senderVer, sh.Map().Version)})
+	return nil
 }
 
 // writeWrongShard refuses a forwarded request this node does not own:
@@ -323,7 +276,7 @@ func (s *Server) writeMapSkew(w http.ResponseWriter, senderVer string) {
 // re-forwarding) makes routing loops structurally impossible.
 func (s *Server) writeWrongShard(w http.ResponseWriter, owner int) {
 	sh := s.sh
-	sh.bump(&sh.wrongShard, "wrong_shard_rejected")
+	sh.count(&sh.met.WrongShard, "wrong_shard_rejected")
 	writeAPIError(w, &apiError{status: http.StatusMisdirectedRequest, code: "wrong_shard",
 		message: fmt.Sprintf("key belongs to shard %d; this node is shard %d and forwarded requests are never re-forwarded", owner, sh.id)})
 }
@@ -335,9 +288,8 @@ func (s *Server) writeWrongShard(w http.ResponseWriter, owner int) {
 func (s *Server) routeOptimize(w http.ResponseWriter, r *http.Request, req *optimizeRequest, body []byte) bool {
 	sh := s.sh
 	if from, fwd := forwardedFrom(r); fwd {
-		m, agreed := s.syncForwardedVersion(r, from)
-		if !agreed {
-			s.writeMapSkew(w, r.Header.Get(headerShardMapVersion))
+		m := s.agreeForwarded(w, r, from)
+		if m == nil {
 			return true
 		}
 		owner, err := m.ShardOf(req.key)
@@ -349,7 +301,7 @@ func (s *Server) routeOptimize(w http.ResponseWriter, r *http.Request, req *opti
 			s.writeWrongShard(w, owner)
 			return true
 		}
-		sh.bump(&sh.forwardsIn, "forwards_in")
+		sh.count(&sh.met.ForwardsIn, "forwards_in")
 		req.forwardedFrom = from
 		return false
 	}
@@ -365,7 +317,7 @@ func (s *Server) routeOptimize(w http.ResponseWriter, r *http.Request, req *opti
 		if owner == sh.id {
 			return false
 		}
-		res, ferr := s.forwardToPeer(w, r, owner, http.MethodPost, "/v1/optimize", body, "application/json", attempt == 0)
+		res, ferr := s.forwardToPeer(w, r, owner, http.MethodPost, "/v1/optimize", body, attempt == 0)
 		switch res {
 		case forwardRetry:
 			// A newer map was adopted mid-forward; recompute the owner
@@ -392,13 +344,13 @@ func (s *Server) routeJobRead(w http.ResponseWriter, r *http.Request, id string)
 	sh := s.sh
 	owner, _, sharded, err := shard.DecodeJobID(id)
 	if err != nil {
-		sh.bump(&sh.badJobID, "bad_job_ids")
+		sh.count(&sh.met.BadJobID, "bad_job_ids")
 		writeAPIError(w, &apiError{status: http.StatusBadRequest, code: "bad_job_id",
 			message: fmt.Sprintf("job ID %q: %v", id, err)})
 		return true
 	}
 	if sharded && owner >= sh.Map().Shards {
-		sh.bump(&sh.badJobID, "bad_job_ids")
+		sh.count(&sh.met.BadJobID, "bad_job_ids")
 		writeAPIError(w, &apiError{status: http.StatusBadRequest, code: "bad_job_id",
 			message: fmt.Sprintf("job ID %q references shard %d beyond the %d-shard map", id, owner, sh.Map().Shards)})
 		return true
@@ -408,8 +360,7 @@ func (s *Server) routeJobRead(w http.ResponseWriter, r *http.Request, id string)
 		if !sharded {
 			return false
 		}
-		if _, agreed := s.syncForwardedVersion(r, from); !agreed {
-			s.writeMapSkew(w, r.Header.Get(headerShardMapVersion))
+		if s.agreeForwarded(w, r, from) == nil {
 			return true
 		}
 		if owner != sh.id {
@@ -421,11 +372,11 @@ func (s *Server) routeJobRead(w http.ResponseWriter, r *http.Request, id string)
 	if !sharded || owner == sh.id {
 		return false
 	}
-	res, ferr := s.forwardToPeer(w, r, owner, http.MethodGet, r.URL.EscapedPath(), nil, "", true)
+	res, ferr := s.forwardToPeer(w, r, owner, http.MethodGet, r.URL.EscapedPath(), nil, true)
 	if res == forwardRetry {
 		// Job ownership is fixed by the ID, so the adopted map cannot
 		// change the target — but the retry now carries the agreed version.
-		res, ferr = s.forwardToPeer(w, r, owner, http.MethodGet, r.URL.EscapedPath(), nil, "", false)
+		res, ferr = s.forwardToPeer(w, r, owner, http.MethodGet, r.URL.EscapedPath(), nil, false)
 	}
 	if res == forwardOwnerDown {
 		s.writeShardUnavailable(w, owner, ferr)
@@ -455,39 +406,19 @@ const (
 // half of live-map convergence. Backpressure is answered directly;
 // transport failures are returned unwritten so the caller can degrade
 // to a replica read.
-func (s *Server) forwardToPeer(w http.ResponseWriter, r *http.Request, owner int, method, path string, body []byte, contentType string, allowRetry bool) (forwardResult, error) {
+func (s *Server) forwardToPeer(w http.ResponseWriter, r *http.Request, owner int, method, path string, body []byte, allowRetry bool) (forwardResult, error) {
 	sh := s.sh
 	select {
 	case sh.slots <- struct{}{}:
 		defer func() { <-sh.slots }()
 	default:
-		sh.bump(&sh.backpressure, "forward_backpressure")
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"error": map[string]any{
-				"code":              "forward_backpressure",
-				"message":           fmt.Sprintf("too many forwards to peers in flight (bound %d); retry shortly", cap(sh.slots)),
-				"retryAfterSeconds": 1,
-			},
-		})
+		sh.count(&sh.met.Backpressure, "forward_backpressure")
+		writeAPIError(w, &apiError{status: http.StatusServiceUnavailable, code: "forward_backpressure", retryAfter: 1,
+			message: fmt.Sprintf("too many forwards to peers in flight (bound %d); retry shortly", cap(sh.slots))})
 		return forwardDone, nil
 	}
-	sh.bump(&sh.forwardsOut, "forwards_out")
-	preq, err := http.NewRequestWithContext(r.Context(), method, sh.peers[owner]+path, bytes.NewReader(body))
-	if err != nil {
-		return forwardOwnerDown, err
-	}
-	preq.Header.Set(headerForwardedFrom, strconv.Itoa(sh.id))
-	preq.Header.Set(headerShardMapVersion, strconv.Itoa(sh.Map().Version))
-	if contentType != "" {
-		preq.Header.Set("Content-Type", contentType)
-	}
-	resp, err := sh.client.Do(preq)
-	if err != nil {
-		return forwardOwnerDown, err
-	}
-	defer resp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerResponseBytes))
+	sh.count(&sh.met.ForwardsOut, "forwards_out")
+	resp, respBody, err := sh.roundTrip(r.Context(), owner, method, path, body, sh.Map(), maxPeerResponseBytes)
 	if err != nil {
 		return forwardOwnerDown, err
 	}
@@ -509,21 +440,47 @@ func (s *Server) forwardToPeer(w http.ResponseWriter, r *http.Request, owner int
 	return forwardDone, nil
 }
 
+// roundTrip is every call this node makes to a peer: method path on
+// shard target, marked as forwarded from this node under m's version. A
+// PUT is a push and carries m inline as well, so the receiver can adopt
+// a map the sender cannot serve yet. It returns the response (its body
+// closed) with at most limit body bytes; the client's peerTimeout bounds
+// the whole exchange.
+func (sh *shardState) roundTrip(ctx context.Context, target int, method, path string, body []byte, m *shard.Map, limit int64) (*http.Response, []byte, error) {
+	if target < 0 || target >= len(sh.peers) || target == sh.id {
+		return nil, nil, fmt.Errorf("server: no peer %d", target)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, sh.peers[target]+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, nil, err
+	}
+	req.Header.Set(headerForwardedFrom, strconv.Itoa(sh.id))
+	req.Header.Set(headerShardMapVersion, strconv.Itoa(m.Version))
+	switch method {
+	case http.MethodPost: // a relayed submission
+		req.Header.Set("Content-Type", "application/json")
+	case http.MethodPut:
+		req.Header.Set(headerShardMap, m.Encode())
+		req.Header.Set("Content-Type", "application/octet-stream")
+	}
+	resp, err := sh.client.Do(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	respBody, err := io.ReadAll(io.LimitReader(resp.Body, limit))
+	return resp, respBody, err
+}
+
 // writeShardUnavailable is the routing contract's "owner is down and no
 // replica could answer" refusal: the key is temporarily unserviceable —
 // no other node may ADOPT it (only replicas may READ for it) — so the
 // client gets a retryable 503 with a hint.
 func (s *Server) writeShardUnavailable(w http.ResponseWriter, owner int, err error) {
 	sh := s.sh
-	sh.bump(&sh.unavailable, "shard_unavailable")
-	w.Header().Set("Retry-After", strconv.Itoa(shardUnavailableRetrySeconds))
-	writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-		"error": map[string]any{
-			"code":              "shard_unavailable",
-			"message":           fmt.Sprintf("shard %d owner unreachable: %v", owner, err),
-			"retryAfterSeconds": shardUnavailableRetrySeconds,
-		},
-	})
+	sh.count(&sh.met.Unavailable, "shard_unavailable")
+	writeAPIError(w, &apiError{status: http.StatusServiceUnavailable, code: "shard_unavailable",
+		message: fmt.Sprintf("shard %d owner unreachable: %v", owner, err), retryAfter: shardUnavailableRetrySeconds})
 }
 
 // serveFromReplica answers a submission whose owner is down from a
@@ -554,8 +511,8 @@ func (s *Server) serveFromReplica(w http.ResponseWriter, req *optimizeRequest) b
 		if !ok {
 			continue
 		}
-		sh.bump(&sh.replicaHits, "replica_read_hits")
-		bump(&s.met.submitted, "server_jobs_submitted")
+		sh.count(&sh.met.ReplicaHits, "replica_read_hits")
+		s.count(&s.met.Submitted, "server_jobs_submitted", 1)
 		s.serveCacheHit(w, req, blob)
 		return true
 	}
@@ -628,12 +585,12 @@ func (s *Server) handleShardLookup(t *rescache.Tiered) http.HandlerFunc {
 			val, ok = t.GetLocal(key)
 		}
 		if !ok {
-			sh.bump(&sh.peerServeMisses, "peer_serve_misses")
+			sh.count(&sh.met.PeerServeMisses, "peer_serve_misses")
 			writeAPIError(w, &apiError{status: http.StatusNotFound, code: "cache_miss",
 				message: "key not cached on this node"})
 			return
 		}
-		sh.bump(&sh.peerServeHits, "peer_serve_hits")
+		sh.count(&sh.met.PeerServeHits, "peer_serve_hits")
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Header().Set(headerServedByShard, strconv.Itoa(sh.id))
 		w.WriteHeader(http.StatusOK)
@@ -644,28 +601,12 @@ func (s *Server) handleShardLookup(t *rescache.Tiered) http.HandlerFunc {
 // fetchCached performs one peer cache lookup against target's local
 // tiers. Callers manage forward slots; this only does the wire work.
 func (sh *shardState) fetchCached(target int, path, key string) ([]byte, bool, error) {
-	if target < 0 || target >= len(sh.peers) || target == sh.id {
-		return nil, false, fmt.Errorf("peer cache: no peer %d", target)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), sh.client.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, sh.peers[target]+path+key, nil)
+	resp, val, err := sh.roundTrip(context.Background(), target, http.MethodGet, path+key, nil, sh.Map(), maxPeerResponseBytes)
 	if err != nil {
 		return nil, false, err
 	}
-	req.Header.Set(headerForwardedFrom, strconv.Itoa(sh.id))
-	req.Header.Set(headerShardMapVersion, strconv.Itoa(sh.Map().Version))
-	resp, err := sh.client.Do(req)
-	if err != nil {
-		return nil, false, err
-	}
-	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
-		val, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerResponseBytes))
-		if err != nil {
-			return nil, false, err
-		}
 		sh.vars.Add("peer_fetch_hits", 1)
 		return val, true, nil
 	case http.StatusNotFound:
@@ -729,7 +670,7 @@ func (p *peerCacheTier) PeerGet(key string) ([]byte, bool, error) {
 		}
 		if ok {
 			if t != owner {
-				sh.bump(&sh.replicaHits, "replica_read_hits")
+				sh.count(&sh.met.ReplicaHits, "replica_read_hits")
 			}
 			return val, true, nil
 		}

@@ -22,14 +22,18 @@ import (
 // QueueCapacity drivers may exist (pending + running, same backpressure
 // contract as the queue: past it submissions get 429), and at most
 // YieldMaxConcurrent may drive the fleet at once (the rest wait in
-// "queued", their deadlines ticking).
+// "queued", their deadlines ticking). Once Drain has begun, admission
+// is refused like the queue's (503).
 func (s *Server) submitYield(jctx context.Context, j *job, req *optimizeRequest) error {
 	if n := s.yieldPending.Add(1); n > int64(s.opts.QueueCapacity) {
 		s.yieldPending.Add(-1)
 		return jobq.ErrFull
 	}
-	bump(&s.met.yieldJobs, "server_yield_jobs")
-	s.dispatchWG.Add(1)
+	if err := s.admit(); err != nil {
+		s.yieldPending.Add(-1)
+		return err
+	}
+	s.count(&s.met.YieldJobs, "server_yield_jobs", 1)
 	go s.runYield(jctx, j, req)
 	return nil
 }
@@ -70,14 +74,16 @@ func (s *Server) runYield(ctx context.Context, j *job, req *optimizeRequest) {
 	// Candidate solves run inline on the driver (they are few and the
 	// fleet path would gain nothing: each is a full optimization whose
 	// result the driver needs before any sampling can start).
-	s.met.solverRuns.Add(int64(p.Candidates))
-	obs.ExpvarCounters().Add("server_solver_runs", int64(p.Candidates))
+	s.count(&s.met.SolverRuns, "server_solver_runs", int64(p.Candidates))
 	cands, rejected, err := yield.GenerateCandidates(ctx, req.tree, req.cfg, req.modes, p)
 	if err != nil {
 		s.finish(j, nil, "", false, err)
 		return
 	}
-	runner := &fleetRunner{s: s, pri: req.pri, deadline: deadlineOf(ctx)}
+	// Sub-lease specs carry the job's deadline, so workers bound chunk
+	// execution the same way the driver is bound.
+	deadline, _ := ctx.Deadline()
+	runner := &fleetRunner{s: s, pri: req.pri, deadline: deadline}
 	rep, err := yield.Run(ctx, cands, p, rejected, mode, runner)
 	if err != nil {
 		s.finish(j, nil, "", false, err)
@@ -95,22 +101,11 @@ func (s *Server) runYield(ctx context.Context, j *job, req *optimizeRequest) {
 		s.cache.Put(req.key, blob)
 		s.replicateResult(req.key, blob)
 	}
-	s.met.yieldSamplesSaved.Add(int64(rep.SamplesSaved))
-	obs.ExpvarCounters().Add("server_yield_samples_saved", int64(rep.SamplesSaved))
+	s.count(&s.met.YieldSamplesSaved, "server_yield_samples_saved", int64(rep.SamplesSaved))
 	if rep.EarlyStopped {
-		bump(&s.met.yieldEarlyStops, "server_yield_early_stops")
+		s.count(&s.met.YieldEarlyStops, "server_yield_early_stops", 1)
 	}
 	s.finish(j, blob, rep.AlgorithmUsed, false, nil)
-}
-
-// deadlineOf extracts ctx's deadline (zero time when none): sub-lease
-// specs carry it so workers bound chunk execution the same way the
-// driver is bound.
-func deadlineOf(ctx context.Context) time.Time {
-	if d, ok := ctx.Deadline(); ok {
-		return d
-	}
-	return time.Time{}
 }
 
 // fleetRunner fans a round's chunks out on the lease queue as
@@ -143,12 +138,12 @@ func (f *fleetRunner) RunChunks(ctx context.Context, specs []*yield.ChunkSpec) (
 					return nil, cerr
 				}
 				out[i] = st
-				bump(&f.s.met.yieldChunksInline, "server_yield_chunks_inline")
+				f.s.count(&f.s.met.YieldChunksInline, "server_yield_chunks_inline", 1)
 				continue
 			}
 			return nil, err
 		}
-		bump(&f.s.met.yieldChunks, "server_yield_chunks")
+		f.s.count(&f.s.met.YieldChunks, "server_yield_chunks", 1)
 		pends = append(pends, pending{i, tk})
 	}
 	for _, p := range pends {

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"wavemin/internal/dispatch"
 	"wavemin/internal/faultinject"
+	"wavemin/internal/jobq"
 	"wavemin/internal/yield"
 )
 
@@ -234,5 +236,30 @@ func TestYieldServerSampleCap(t *testing.T) {
 	code, resp := h.post(body)
 	if code != http.StatusBadRequest {
 		t.Fatalf("status %d (%v), want 400", code, resp)
+	}
+}
+
+// TestYieldRefusedAfterDrain: a yield submission that reaches
+// submitYield after Drain began must be refused as draining — its
+// driver would otherwise outlive Drain and run against closed stores —
+// and must leave no admission slot behind.
+func TestYieldRefusedAfterDrain(t *testing.T) {
+	s := mustNew(t, Options{})
+	if err := s.Drain(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	req, apiErr := decodeOptimizeRequest(yieldReqBody(t), s.opts)
+	if apiErr != nil {
+		t.Fatalf("decode: %s", apiErr.message)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	j := s.addJob(req, false)
+	j.cancel = cancel
+	if err := s.submitYield(ctx, j, req); !errors.Is(err, jobq.ErrDraining) {
+		t.Fatalf("submitYield after Drain: %v, want jobq.ErrDraining", err)
+	}
+	if n := s.yieldPending.Load(); n != 0 {
+		t.Fatalf("yieldPending = %d after a refused submission, want 0", n)
 	}
 }
