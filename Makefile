@@ -31,11 +31,14 @@ race: vet
 # the full -race suite stays in `make race`), the coverage floor, a
 # short fuzz smoke over the lease protocol and journal replay, the
 # subprocess kill -9 recovery loop, and — because every job runs on the
-# lease queue — the dispatch chaos suite and the whole queue package
-# under the race detector, and every example program.
+# lease queue — the dispatch chaos suite, the whole queue package and
+# the server's local-executor and durable-store e2e tests (dispatch,
+# recovery, end-to-end, structured refusals) under the race detector,
+# and every example program.
 check: test vet perfbench-vet examples cover fuzz-smoke e2e-crash e2e-eco e2e-shard e2e-rebalance e2e-yield e2e-dispatch
 	$(GO) test -race -run Parallel . ./internal/...
 	$(GO) test -race ./internal/jobq
+	$(GO) test -race -timeout 120s -run 'Dispatch|Recovery|EndToEnd|Refusal' ./internal/server
 
 # The service benchmark is its own module over this checkout (`replace
 # wavemin => ../`, no downloads), so a change that breaks an API it calls

@@ -16,31 +16,30 @@
 //
 // # Recency
 //
-// Eviction is LRU by byte budget, and recency survives restarts: an
-// append-only index journal (internal/wal, SyncNone — losing a few
-// recency updates to a crash costs a slightly wrong eviction order,
-// nothing more) records put/touch/evict operations and is compacted
-// into a checkpoint snapshot as it grows. Object files, not the index,
-// are the source of truth: entries the index has never heard of (a
-// crash between rename and index append, or another writer) are
-// adopted at open as least-recently-used.
+// Eviction is LRU by byte budget, and recency survives restarts in the
+// entry files themselves, the store's only record of what it holds: Put
+// and a Get hit stamp the file's modification time, and Open orders the
+// files it walks newest first (ties broken by key) before it enforces
+// the budget. Stamps are not fsynced: a machine crash can lose the last
+// few, which costs a slightly wrong eviction order, nothing more.
 package castore
 
 import (
+	"cmp"
 	"container/list"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
+	"time"
 
 	"wavemin/internal/faultinject"
 	"wavemin/internal/obs"
-	"wavemin/internal/wal"
 )
 
 // Options configures a Store.
@@ -54,10 +53,6 @@ type Options struct {
 	Sync bool
 }
 
-// compactEvery is how many index operations since the last checkpoint
-// trigger a compaction of the index journal.
-const compactEvery = 4096
-
 // Stats is a point-in-time snapshot of the store's counters.
 type Stats struct {
 	Entries     int   // resident entries
@@ -67,7 +62,6 @@ type Stats struct {
 	Puts        int64
 	Evictions   int64 // entries deleted to respect MaxBytes
 	Quarantined int64 // corrupt entries moved aside instead of served
-	Orphans     int64 // entries adopted at Open that the index had lost
 }
 
 var (
@@ -109,30 +103,15 @@ type Store struct {
 	items   map[string]*list.Element // of *entry
 	lru     *list.List               // front = most recently used
 	bytes   int64
-	ops     int // index records since the last compaction
-	index   *wal.Writer
+	stamp   time.Time // latest recency stamp issued or found at Open
 	quarSeq int64
 	closed  bool
 
-	hits, misses, puts, evictions, quarantined, orphans int64
+	hits, misses, puts, evictions, quarantined int64
 }
 
-// index journal records. Op is "p" (put), "t" (touch), "e" (evict); a
-// checkpoint snapshot is a JSON array of indexEntry in LRU order
-// (most recent first).
-type indexRec struct {
-	Op   string `json:"op"`
-	Key  string `json:"k"`
-	Size int64  `json:"n,omitempty"`
-}
-
-type indexEntry struct {
-	Key  string `json:"k"`
-	Size int64  `json:"n"`
-}
-
-// Open opens (creating if needed) the store rooted at dir: it replays
-// the index journal, adopts any entry files the index lost, and
+// Open opens (creating if needed) the store rooted at dir: it walks the
+// entry files, rebuilds the LRU list from their recency stamps, and
 // enforces the byte budget.
 func Open(dir string, opts Options) (*Store, error) {
 	for _, sub := range []string{"objects", "quarantine"} {
@@ -140,73 +119,34 @@ func Open(dir string, opts Options) (*Store, error) {
 			return nil, fmt.Errorf("castore: %w", err)
 		}
 	}
+	// Older stores kept recency in an index journal under index/. The
+	// entry files now carry it, so the journal is only stale bytes.
+	if err := os.RemoveAll(filepath.Join(dir, "index")); err != nil {
+		return nil, fmt.Errorf("castore: removing old index: %w", err)
+	}
 	s := &Store{
 		dir:   dir,
 		opts:  opts,
 		items: make(map[string]*list.Element),
 		lru:   list.New(),
 	}
-	// Recency is best-effort by design: the index journal is opened with
-	// BestEffort so a rotted index can never block the store — object
-	// files are the source of truth and the scan below readopts them.
-	idx, _, err := wal.Open(filepath.Join(dir, "index"), wal.Options{Sync: wal.SyncNone, BestEffort: true}, s.replayIndex)
-	if err != nil {
-		return nil, fmt.Errorf("castore: index journal: %w", err)
-	}
-	s.index = idx
-	if err := s.adoptOrphans(); err != nil {
-		idx.Close()
+	if err := s.scan(); err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
 	s.evictToBudgetLocked()
-	s.compactLocked(true)
-	s.mu.Unlock()
 	return s, nil
 }
 
-// replayIndex rebuilds the LRU list from one index journal record.
-// Runs inside wal.Open, before the store is shared: no lock needed.
-func (s *Store) replayIndex(kind wal.RecordKind, payload []byte) error {
-	if kind == wal.Checkpoint {
-		var snap []indexEntry
-		if err := json.Unmarshal(payload, &snap); err != nil {
-			return nil // malformed snapshot: scan will readopt everything
-		}
-		s.items = make(map[string]*list.Element, len(snap))
-		s.lru.Init()
-		s.bytes = 0
-		// Snapshot is most-recent-first; pushing back preserves order.
-		for _, ie := range snap {
-			s.items[ie.Key] = s.lru.PushBack(&entry{key: ie.Key, size: ie.Size})
-			s.bytes += ie.Size
-		}
-		return nil
+// scan walks the object tree and lists every entry file from most to
+// least recently stamped, ties broken by key so the order does not
+// depend on the walk. Runs inside Open, before the store is shared: no
+// lock needed.
+func (s *Store) scan() error {
+	type found struct {
+		entry
+		stamp time.Time
 	}
-	var rec indexRec
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return nil // skip rot: recency hints only
-	}
-	switch rec.Op {
-	case "p":
-		s.record(rec.Key, rec.Size)
-	case "t":
-		if el, ok := s.items[rec.Key]; ok {
-			s.lru.MoveToFront(el)
-		}
-	case "e":
-		if el, ok := s.items[rec.Key]; ok {
-			s.remove(el)
-		}
-	}
-	return nil
-}
-
-// adoptOrphans walks the object tree and adopts files the index lost
-// (crash between rename and index append, or a foreign writer), as
-// least-recently-used; index entries whose file vanished are dropped.
-func (s *Store) adoptOrphans() error {
-	onDisk := make(map[string]int64)
+	var files []found
 	root := filepath.Join(s.dir, "objects")
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
@@ -227,30 +167,25 @@ func (s *Store) adoptOrphans() error {
 		if ierr != nil {
 			return nil
 		}
-		onDisk[key] = info.Size()
+		files = append(files, found{entry{key: key, size: info.Size()}, info.ModTime()})
 		return nil
 	})
 	if err != nil {
 		return fmt.Errorf("castore: scanning objects: %w", err)
 	}
-	for key, size := range onDisk {
-		if el, ok := s.items[key]; ok {
-			// The index may have drifted: trust the file's size.
-			e := el.Value.(*entry)
-			s.bytes += size - e.size
-			e.size = size
-			continue
+	slices.SortFunc(files, func(a, b found) int {
+		if c := b.stamp.Compare(a.stamp); c != 0 {
+			return c
 		}
-		s.items[key] = s.lru.PushBack(&entry{key: key, size: size})
-		s.bytes += size
-		s.orphans++
+		return cmp.Compare(a.key, b.key)
+	})
+	for _, f := range files {
+		s.items[f.key] = s.lru.PushBack(&entry{key: f.key, size: f.size})
+		s.bytes += f.size
 	}
-	for key, el := range s.items {
-		if _, ok := onDisk[key]; !ok {
-			s.remove(el)
-		}
+	if len(files) > 0 {
+		s.stamp = files[0].stamp
 	}
-	obs.ExpvarCounters().Add("castore_orphans_adopted", s.orphans)
 	return nil
 }
 
@@ -274,6 +209,19 @@ func (s *Store) remove(el *list.Element) {
 	e := s.lru.Remove(el).(*entry)
 	delete(s.items, e.key)
 	s.bytes -= e.size
+}
+
+// touchLocked stamps key's entry file as the most recently used. Each
+// stamp is later than every stamp before it, even when the wall clock
+// stalls or steps back, so the order Open reads back is the order of
+// the LRU list. A failed stamp costs eviction order, never an entry.
+func (s *Store) touchLocked(key string) {
+	now := time.Now().Round(0) // no monotonic reading: compare wall clocks, as the files do
+	if !now.After(s.stamp) {
+		now = s.stamp.Add(time.Nanosecond)
+	}
+	s.stamp = now
+	_ = os.Chtimes(s.objPath(key), now, now)
 }
 
 // --- paths ----------------------------------------------------------------
@@ -303,8 +251,8 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	}
 	data, err := os.ReadFile(s.objPath(key))
 	if err != nil {
-		// Index said present, disk disagrees: drop the entry, miss.
-		s.dropLocked(el)
+		// Listed as present, disk disagrees: drop the entry, miss.
+		s.remove(el)
 		s.misses++
 		return nil, false
 	}
@@ -316,18 +264,9 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	}
 	s.hits++
 	s.lru.MoveToFront(el)
-	s.appendIndexLocked(indexRec{Op: "t", Key: key})
+	s.touchLocked(key)
 	obs.ExpvarCounters().Add("castore_hits", 1)
 	return payload, true
-}
-
-// Contains reports whether key is resident, without touching recency,
-// counters, or the disk frame.
-func (s *Store) Contains(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.items[key]
-	return ok
 }
 
 // Put stores val under key atomically: tmp file, (fsync), rename. An
@@ -355,21 +294,13 @@ func (s *Store) Put(key string, val []byte) error {
 	s.puts++
 	obs.ExpvarCounters().Add("castore_puts", 1)
 	s.record(key, int64(len(framed)))
-	s.appendIndexLocked(indexRec{Op: "p", Key: key, Size: int64(len(framed))})
+	s.touchLocked(key)
 	s.evictToBudgetLocked()
-	s.compactLocked(false)
 	return nil
 }
 
-// dropLocked removes el from the index (op "e") without touching its file.
-func (s *Store) dropLocked(el *list.Element) {
-	e := el.Value.(*entry)
-	s.remove(el)
-	s.appendIndexLocked(indexRec{Op: "e", Key: e.key})
-}
-
 // quarantineLocked moves a corrupt entry's file aside and drops it from
-// the index: rot is preserved for forensics but never served.
+// the LRU list: rot is preserved for forensics but never served.
 func (s *Store) quarantineLocked(el *list.Element) {
 	e := el.Value.(*entry)
 	s.quarSeq++
@@ -379,7 +310,7 @@ func (s *Store) quarantineLocked(el *list.Element) {
 	}
 	s.quarantined++
 	obs.ExpvarCounters().Add("castore_quarantined", 1)
-	s.dropLocked(el)
+	s.remove(el)
 }
 
 func (s *Store) evictToBudgetLocked() {
@@ -391,48 +322,8 @@ func (s *Store) evictToBudgetLocked() {
 		_ = os.Remove(s.objPath(victim.Value.(*entry).key))
 		s.evictions++
 		obs.ExpvarCounters().Add("castore_evictions", 1)
-		s.dropLocked(victim)
+		s.remove(victim)
 	}
-}
-
-// appendIndexLocked journals one recency operation. Failures are
-// swallowed: the index is a hint, the object files are the truth.
-func (s *Store) appendIndexLocked(rec indexRec) {
-	if s.index == nil {
-		return
-	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return
-	}
-	if _, err := s.index.Append(b); err != nil {
-		return
-	}
-	s.ops++
-}
-
-// compactLocked checkpoints the index journal when it has grown past
-// the compaction threshold (or force), bounding replay time at Open.
-func (s *Store) compactLocked(force bool) {
-	if s.index == nil {
-		return
-	}
-	if !force && s.ops < compactEvery {
-		return
-	}
-	snap := make([]indexEntry, 0, len(s.items))
-	for el := s.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry)
-		snap = append(snap, indexEntry{Key: e.key, Size: e.size})
-	}
-	b, err := json.Marshal(snap)
-	if err != nil {
-		return
-	}
-	if err := s.index.Checkpoint(b); err != nil {
-		return
-	}
-	s.ops = 0
 }
 
 // Len returns the number of resident entries.
@@ -465,38 +356,22 @@ func (s *Store) Stats() Stats {
 		Puts:        s.puts,
 		Evictions:   s.evictions,
 		Quarantined: s.quarantined,
-		Orphans:     s.orphans,
 	}
 }
 
-// Close compacts the index journal and closes the store.
+// Close closes the store. Every recency stamp is already on its entry
+// file, so there is nothing left to flush.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
 	s.closed = true
-	s.compactLocked(true)
-	if s.index != nil {
-		return s.index.Close()
-	}
 	return nil
 }
 
-// Abort closes the store without compacting or flushing the index —
-// the crash-simulation path: recency updates the committer had not yet
-// written are lost, entry files are untouched.
+// Abort is the crash-simulation close. The entry files are the only
+// record and hold nothing unflushed, so it is the same as Close.
 func (s *Store) Abort() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
-	s.closed = true
-	if s.index != nil {
-		s.index.Abort()
-	}
+	_ = s.Close()
 }
 
 // --- entry framing --------------------------------------------------------

@@ -75,7 +75,7 @@ type Metrics struct {
 	Heartbeats    int64 // accepted heartbeats
 	Completions   int64 // accepted completions
 	Failures      int64 // accepted failure reports
-	Requeues      int64 // jobs requeued after a lapsed lease / retryable fail
+	Requeues      int64 // jobs the queue put back in a lane: lapsed lease or retryable fail
 	StaleRejected int64 // mutations rejected for a stale/unknown lease
 }
 
@@ -94,7 +94,7 @@ type Coordinator struct {
 	shardLabel atomic.Value // string
 
 	met struct {
-		leases, heartbeats, completions, failures, requeues, staleRejected atomic.Int64
+		leases, heartbeats, completions, failures, staleRejected atomic.Int64
 	}
 
 	stopOnce sync.Once
@@ -123,10 +123,13 @@ func NewCoordinator(q *jobq.Queue, opts Options) *Coordinator {
 			}
 			// Durable-before-ack: the result bytes reach stable storage
 			// before the queue learns the job completed, so a journal that
-			// says "complete" always has the bytes to back it up.
+			// says "complete" always has the bytes to back it up. A store
+			// fault is the node's, not the job's: the job re-runs against
+			// its retry budget, as a remote completion refused with
+			// persist_failed does.
 			if opts.PersistResult != nil && !out.Degraded && !spec.NoCache {
 				if perr := opts.PersistResult(spec.Key, out.ResultJSON); perr != nil {
-					return nil, fmt.Errorf("dispatch: persist result: %w", perr)
+					return nil, jobq.Retryable(fmt.Errorf("dispatch: persist result: %w", perr))
 				}
 			}
 			return out, nil
@@ -147,9 +150,7 @@ func (c *Coordinator) sweep() {
 		case <-c.stop:
 			return
 		case <-tick.C:
-			if n := c.q.ExpireLeases(); n > 0 {
-				c.met.requeues.Add(int64(n))
-			}
+			c.q.ExpireLeases()
 		}
 	}
 }
@@ -182,7 +183,7 @@ func (c *Coordinator) MetricsSnapshot() Metrics {
 		Heartbeats:    c.met.heartbeats.Load(),
 		Completions:   c.met.completions.Load(),
 		Failures:      c.met.failures.Load(),
-		Requeues:      c.met.requeues.Load(),
+		Requeues:      c.q.Snapshot().Requeued,
 		StaleRejected: c.met.staleRejected.Load(),
 	}
 }
@@ -453,8 +454,5 @@ func (c *Coordinator) handleFail(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.met.failures.Add(1)
-	if req.Retryable {
-		c.met.requeues.Add(1)
-	}
 	writeWireJSON(w, http.StatusOK, map[string]any{"ok": true})
 }

@@ -115,6 +115,15 @@ func (e *RetryExhaustedError) Error() string {
 
 func (e *RetryExhaustedError) Unwrap() error { return e.Last }
 
+// Retryable marks an error from the lease executor as the executor's
+// fault, not the job's: the pool requeues the job against its retry
+// budget, exactly as Fail does for a retryable external failure.
+func Retryable(err error) error { return retryableError{err} }
+
+type retryableError struct{ error }
+
+func (e retryableError) Unwrap() error { return e.error }
+
 type job struct {
 	ctx    context.Context
 	cancel context.CancelFunc // non-nil only for restored deadline contexts
@@ -230,6 +239,7 @@ type Stats struct {
 	Outstanding int           // jobs not yet terminal (queued, leased, or running)
 	Executed    int64
 	Rejected    int64 // submissions refused with ErrFull
+	Requeued    int64 // jobs put back in a lane after a lapsed lease or a retryable failure
 	AvgJobDur   time.Duration
 }
 
@@ -248,6 +258,7 @@ type Queue struct {
 	draining    bool
 	executed    int64
 	rejected    int64
+	requeued    int64
 	avgNs       float64 // EWMA of job wall time, ns
 	leaseTTL    time.Duration
 	maxAttempts int
@@ -315,8 +326,9 @@ func (q *Queue) SetLeasePolicy(ttl time.Duration, maxAttempts int) {
 // SetLeaseExecutor lets the worker pool run jobs: a pool worker picks
 // the next job no external consumer has leased, executes fn on its
 // payload, and resolves the ticket with the outcome — so a queue with
-// zero external consumers still drains its work. A nil fn restores
-// pull-only behavior.
+// zero external consumers still drains its work. An error fn marks
+// with Retryable requeues the job instead. A nil fn restores pull-only
+// behavior.
 func (q *Queue) SetLeaseExecutor(fn func(ctx context.Context, payload any) (any, error)) {
 	q.mu.Lock()
 	q.leaseExec = fn
@@ -568,6 +580,8 @@ func (q *Queue) worker() {
 			// As in Fail: a failure after the job's own context ended is
 			// an expiry, whatever the executor reported.
 			q.resolveLocked(j, nil, j.ctx.Err(), LeaseExpired)
+		case errors.As(err, new(retryableError)):
+			q.requeueLocked(j, err)
 		default:
 			q.resolveLocked(j, nil, err, LeaseFailed)
 		}
@@ -755,6 +769,7 @@ func (q *Queue) requeueLocked(j *job, cause error) {
 	q.emitLocked(j, LeaseEvent{Kind: LeaseRequeued, Attempt: j.attempts, Err: cause})
 	q.lanes[j.pri] = append([]*job{j}, q.lanes[j.pri]...)
 	q.queued++
+	q.requeued++
 	q.cond.Broadcast()
 }
 
@@ -855,6 +870,7 @@ func (q *Queue) Snapshot() Stats {
 		Outstanding: q.outstanding,
 		Executed:    q.executed,
 		Rejected:    q.rejected,
+		Requeued:    q.requeued,
 		AvgJobDur:   time.Duration(q.avgNs),
 	}
 	for lane := range q.lanes {

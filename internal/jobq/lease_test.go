@@ -419,3 +419,44 @@ func TestLeaseExecutorPanicFailsJobNotPool(t *testing.T) {
 		t.Fatalf("job after panic = (%v, %v), want (ok, nil)", res, err)
 	}
 }
+
+// TestLeaseExecutorRetryableRequeues: an executor error marked
+// Retryable is the executor's fault, so the pool puts the job back in
+// its lane against the retry budget, as a retryable Fail does.
+func TestLeaseExecutorRetryableRequeues(t *testing.T) {
+	q := New(8, 1)
+	defer q.Drain(context.Background())
+	q.SetLeasePolicy(time.Minute, 3)
+	calls := map[any]int{}
+	q.SetLeaseExecutor(func(ctx context.Context, payload any) (any, error) {
+		calls[payload]++ // one pool worker: no concurrent calls
+		if payload == "flaky" && calls[payload] > 1 {
+			return "ok", nil
+		}
+		return nil, Retryable(errors.New("store: disk full"))
+	})
+
+	flaky, err := q.SubmitLeasable(context.Background(), Normal, "flaky", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := waitTicket(t, flaky); err != nil || res != "ok" || flaky.Attempts() != 2 {
+		t.Fatalf("flaky job = (%v, %v) after %d attempts, want (ok, nil) after 2", res, err, flaky.Attempts())
+	}
+
+	broken, err := q.SubmitLeasable(context.Background(), Normal, "broken", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = waitTicket(t, broken)
+	var rex *RetryExhaustedError
+	if !errors.As(err, &rex) || rex.Attempts != 3 {
+		t.Fatalf("always-retryable job: %v, want RetryExhaustedError after 3 attempts", err)
+	}
+	if want := "jobq: job failed after 3 lease attempts (last: store: disk full)"; err.Error() != want {
+		t.Fatalf("error %q, want %q", err, want)
+	}
+	if got := q.Snapshot().Requeued; got != 3 { // flaky once, broken twice
+		t.Fatalf("Requeued = %d, want 3", got)
+	}
+}

@@ -72,15 +72,6 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	return el.Value.(*entry).val, true
 }
 
-// Contains reports whether key is resident, without touching recency or
-// the hit/miss counters.
-func (c *Cache) Contains(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.items[key]
-	return ok
-}
-
 // Put stores val under key (copying val), replacing any previous value,
 // and evicts least-recently-used entries until both bounds hold. A value
 // that alone exceeds the byte bound is not stored (and evicts nothing).

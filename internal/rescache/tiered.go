@@ -174,18 +174,6 @@ func (t *Tiered) LocalKeys() []string {
 	return t.mem.Keys()
 }
 
-// Contains reports residency in either tier without touching recency.
-func (t *Tiered) Contains(key string) bool {
-	if t.mem.Contains(key) {
-		return true
-	}
-	if t.disk == nil {
-		return false
-	}
-	_, ok := t.disk.Get(key)
-	return ok
-}
-
 // Stats snapshots all tiers' counters.
 func (t *Tiered) Stats() TieredStats {
 	return TieredStats{

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,6 +31,7 @@ func TestRecoveryEndToEnd(t *testing.T) {
 		{"CrashRestartPreservesBacklogAndResults", recoveryCrashRestart},
 		{"CorruptStoreEntryQuarantinedAndReSolved", recoveryCorruptEntry},
 		{"FsyncFaultRefusesAcknowledgement", recoveryFsyncFault},
+		{"StoreWriteFaultRerunsLocalJob", recoveryStoreWriteFault},
 		{"CleanDrainLeavesEmptyBacklog", recoveryCleanDrain},
 	}
 	for _, sc := range scenarios {
@@ -211,6 +213,35 @@ func recoveryCorruptEntry(t *testing.T) {
 		t.Fatalf("resubmit after heal: status %d, want cache hit", code)
 	}
 	if err := h2.srv.Drain(t.Context()); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+}
+
+// recoveryStoreWriteFault: one failed result write costs the job a
+// re-run, not its life. The local executor's persist failure requeues
+// the job against its retry budget, as a remote worker's completion
+// refused with persist_failed does.
+func recoveryStoreWriteFault(t *testing.T) {
+	h := newHarness(t, durableOpts(t.TempDir()))
+	var writes atomic.Int64
+	faultinject.SetErr(faultinject.SiteCastoreWrite, func() error {
+		if writes.Add(1) == 1 {
+			return errors.New("injected: disk full")
+		}
+		return nil
+	})
+	code, resp := h.post(marshalReq(t, map[string]any{"tree": smallTreeJSON(t, 8), "config": fastConfig()}))
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d, body %v", code, resp)
+	}
+	if v := h.waitJob(jobID(t, resp), 30*time.Second); v.Status != StatusDone {
+		t.Fatalf("job finished %s (error %q) after one store write fault", v.Status, v.Error)
+	}
+	m := h.srv.MetricsSnapshot()
+	if w := writes.Load(); w != 2 || m.SolverRuns != 2 || m.StoreStats.Puts != 1 {
+		t.Fatalf("%d store writes, %d solver runs, %d store puts; want 2, 2, 1", w, m.SolverRuns, m.StoreStats.Puts)
+	}
+	if err := h.srv.Drain(t.Context()); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 }

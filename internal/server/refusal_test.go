@@ -200,7 +200,7 @@ func TestStructuredRefusalsPinned(t *testing.T) {
 		faultinject.Reset()
 		r, raw := doRequest(t, "GET", h.ts.URL+"/v1/jobs/"+id+"/result", nil)
 		checkRefusal(t, "job_failed", r, raw, refusal{status: http.StatusConflict,
-			code: "job_failed", message: "dispatch: persist result: castore: write: injected: disk full"})
+			code: "job_failed", message: "jobq: job failed after 3 lease attempts (last: dispatch: persist result: castore: write: injected: disk full)"})
 		if err := h.srv.Drain(t.Context()); err != nil {
 			t.Fatal(err)
 		}
