@@ -158,9 +158,12 @@ test-flake:
 # and replayed lease IDs), journal replay (arbitrary bytes on disk
 # must recover or refuse, never panic), shard routing (forged forwards
 # and hostile job IDs must terminate in structured 4xx with no
-# wrong-shard cache writes), and map gossip (hostile map injections and
+# wrong-shard cache writes), map gossip (hostile map injections and
 # forged handoff pushes: structured 4xx or ignored-with-counter, version
-# monotone, no wrong-shard cache write). Seconds-long smoke for
+# monotone, no wrong-shard cache write), and the request decoder (an
+# accepted request keys as LoadTree + SetModes + CacheKey would, the
+# request path accepts, refuses and words errors as LoadTree does, and
+# WriteJSON writes encoding/json's bytes). Seconds-long smoke for
 # `make check`; run with a larger -fuzztime when hunting.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLeaseProtocol$$' -fuzztime 5s ./internal/dispatch
@@ -168,6 +171,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzShardRoute$$' -fuzztime 5s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzShardMapGossip$$' -fuzztime 5s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzYieldRequest$$' -fuzztime 5s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzOptimizeRequest$$' -fuzztime 5s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 5s ./internal/clocktree
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadTree$$' -fuzztime 5s .
 
 verify: test race
 

@@ -445,6 +445,39 @@ func BenchmarkMeasure(b *testing.B) {
 	}
 }
 
+// --- The cache-hit request path ---------------------------------------------
+
+// BenchmarkRequestKey derives the cache key of a serialized tree the way
+// the service does for every request, hit or miss: one decode, the
+// loader's checks and a hash of the canonical form, at the service
+// benchmark's request config. s13207 is that benchmark's median request;
+// s38417 is one of its largest.
+func BenchmarkRequestKey(b *testing.B) {
+	cfg := Config{Kappa: 20, Samples: 158, Epsilon: 0.01, Workers: 1}
+	for _, name := range []string{"s13207", "s38417"} {
+		d, err := Benchmark(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var tree bytes.Buffer
+		if err := d.SaveTree(&tree); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ct, err := ReadCanonicalTree(tree.Bytes())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := ct.CacheKey(nil, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // --- Substrate micro-benchmarks --------------------------------------------
 
 func BenchmarkMOSPSolve(b *testing.B) {

@@ -1,11 +1,14 @@
 package wavemin
 
 import (
+	"bytes"
 	"sort"
 	"strconv"
 	"strings"
 
 	"wavemin/internal/canon"
+	"wavemin/internal/cell"
+	"wavemin/internal/clocktree"
 )
 
 // cacheKeyFormat versions the canonical request encoding and the evaluator
@@ -51,7 +54,7 @@ func (d *Design) CacheKey(cfg Config) (string, error) {
 	if err := cfg.Validate(); err != nil {
 		return "", err
 	}
-	var tree strings.Builder
+	var tree bytes.Buffer
 	if err := d.SaveTree(&tree); err != nil {
 		return "", err
 	}
@@ -59,13 +62,55 @@ func (d *Design) CacheKey(cfg Config) (string, error) {
 	modes := append([]Mode(nil), d.Modes...)
 	dieW, dieH := d.dieW, d.dieH
 	d.mu.Unlock()
+	return problemKey(tree.Bytes(), modes, dieW, dieH, cfg), nil
+}
 
+// CanonicalTree is a serialized clock tree that passed every check
+// LoadTree makes, held in the form CacheKey hashes: the bytes SaveTree
+// would write for the loaded design, and the die LoadTree would give it.
+type CanonicalTree struct {
+	json       []byte
+	dieW, dieH float64
+}
+
+// ReadCanonicalTree decodes a serialized clock tree once and checks it as
+// LoadTree does, failing with the same errors, but builds no tree, power
+// grid or Design: it is how a service derives a request's cache key.
+func ReadCanonicalTree(raw []byte) (*CanonicalTree, error) {
+	tree, maxX, maxY, err := clocktree.CanonicalJSON(raw, cell.DefaultLibrary())
+	if err != nil {
+		return nil, err
+	}
+	w, h := dieExtent(maxX, maxY)
+	return &CanonicalTree{json: tree, dieW: w, dieH: h}, nil
+}
+
+// CacheKey returns the key Design.CacheKey(cfg) returns for the design
+// LoadTree builds from the same bytes after SetModes(modes); an empty mode
+// list keeps LoadTree's nominal mode. Mode errors come first, with
+// SetModes' text, then cfg.Validate's.
+func (t *CanonicalTree) CacheKey(modes []Mode, cfg Config) (string, error) {
+	if len(modes) == 0 {
+		modes = []Mode{NominalMode}
+	} else if err := checkModes(modes); err != nil {
+		return "", err
+	}
+	if err := cfg.Validate(); err != nil {
+		return "", err
+	}
+	return problemKey(t.json, modes, t.dieW, t.dieH, cfg), nil
+}
+
+// problemKey hashes the canonical sections of one problem; both CacheKey
+// methods end here, so a design's key and a request's render config,
+// modes and die identically.
+func problemKey(tree []byte, modes []Mode, dieW, dieH float64, cfg Config) string {
 	h := canon.NewHasher(cacheKeyFormat)
-	h.Section("tree", tree.String())
+	h.SectionBytes("tree", tree)
 	h.Section("config", cfg.canonical())
 	h.Section("modes", canonicalModes(modes))
 	h.Section("die", canonFloat(dieW)+"x"+canonFloat(dieH))
-	return h.Sum(), nil
+	return h.Sum()
 }
 
 // canonical renders the problem-defining configuration fields with

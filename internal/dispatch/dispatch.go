@@ -284,6 +284,12 @@ func TraceObserver(tr *obs.Trace) func(jobq.LeaseEvent) {
 			root.SetAttr("outcome", "expired")
 			root.End()
 		case jobq.LeaseExhausted:
+			// The last attempt lapsed or failed retryably with no retry
+			// left: no LeaseRequeued event ends its span.
+			if cur != nil {
+				cur.SetAttr("outcome", "exhausted")
+				cur.End()
+			}
 			root.SetAttr("outcome", "exhausted")
 			root.SetAttr("attempts", fmt.Sprintf("%d", ev.Attempt))
 			root.End()

@@ -10,7 +10,9 @@ package dispatch
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
@@ -110,4 +112,53 @@ func TestDispatchTraceGolden(t *testing.T) {
 		}
 	}
 	checkGolden(t, "dispatch_trace", base)
+}
+
+// TestTraceObserverEndsExhaustedAttempt: when a job runs out of retries,
+// its last attempt span ends with outcome=exhausted — after a lapsed lease
+// and after a retryable failure alike — instead of staying open with no
+// outcome and no duration.
+func TestTraceObserverEndsExhaustedAttempt(t *testing.T) {
+	for _, lapse := range []bool{true, false} {
+		q := jobq.New(4, 1)
+		q.SetLeasePolicy(time.Millisecond, 1)
+		tr := obs.New(obs.Options{})
+		tk, err := q.SubmitLeasable(context.Background(), jobq.Normal, "payload", TraceObserver(tr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, ok := q.Lease()
+		if !ok {
+			t.Fatal("Lease: no job")
+		}
+		time.Sleep(2 * time.Millisecond)
+		if lapse {
+			if n := q.ExpireLeases(); n != 1 {
+				t.Fatalf("ExpireLeases = %d, want 1", n)
+			}
+		} else if err := q.Fail(l.ID, errors.New("worker lost"), true); err != nil {
+			t.Fatal(err)
+		}
+		var exhausted *jobq.RetryExhaustedError
+		if _, err := awaitTicket(t, tk, 10*time.Second); !errors.As(err, &exhausted) {
+			t.Fatalf("lapse=%v: outcome %v, want a RetryExhaustedError", lapse, err)
+		}
+		q.Drain(context.Background())
+
+		outcomes := map[string]string{}
+		for _, ev := range tr.Events() {
+			for _, a := range ev.Attrs {
+				if a.Key == "outcome" {
+					outcomes[ev.Path] = a.Value
+				}
+			}
+			if ev.Timing.DurNS <= 0 {
+				t.Errorf("lapse=%v: span %s still open (duration %d ns)", lapse, ev.Path, ev.Timing.DurNS)
+			}
+		}
+		want := map[string]string{"dispatch[0]": "exhausted", "dispatch[0]/attempt[0]": "exhausted"}
+		if !maps.Equal(outcomes, want) {
+			t.Errorf("lapse=%v: outcomes %v, want %v", lapse, outcomes, want)
+		}
+	}
 }

@@ -149,7 +149,7 @@ func decodeOptimizeRequest(body []byte, opts Options) (*optimizeRequest, *apiErr
 	if len(wire.Tree) == 0 {
 		return nil, badRequest("missing required field %q", "tree")
 	}
-	design, err := wavemin.LoadTree(bytes.NewReader(wire.Tree))
+	tree, err := wavemin.ReadCanonicalTree(wire.Tree)
 	if err != nil {
 		return nil, badRequest("tree: %v", err)
 	}
@@ -202,9 +202,11 @@ func decodeOptimizeRequest(body []byte, opts Options) (*optimizeRequest, *apiErr
 			seen[m.Name] = true
 			modes = append(modes, wavemin.Mode{Name: m.Name, Supplies: m.Supplies})
 		}
-		if err := design.SetModes(modes); err != nil {
-			return nil, badRequest("modes: %v", err)
-		}
+	}
+	key, err := tree.CacheKey(modes, cfg)
+	if err != nil {
+		// The config passed Validate above, so only the modes can fail.
+		return nil, badRequest("modes: %v", err)
 	}
 
 	pri, err := jobq.ParsePriority(wire.Priority)
@@ -220,14 +222,6 @@ func decodeOptimizeRequest(body []byte, opts Options) (*optimizeRequest, *apiErr
 	}
 	if timeout > opts.MaxTimeout {
 		timeout = opts.MaxTimeout
-	}
-
-	key, err := design.CacheKey(cfg)
-	if err != nil {
-		// Config and tree were both validated above, so this is
-		// unreachable in practice — but a decode path must degrade to a
-		// 4xx, never a panic or a 500.
-		return nil, badRequest("cache key: %v", err)
 	}
 
 	var yp *yield.Params

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -8,6 +9,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"wavemin"
 )
 
 // malformedTrees is the FuzzLoadTree seed corpus from the root package:
@@ -57,7 +60,9 @@ var malformedRequests = []string{
 
 // FuzzOptimizeRequest drives arbitrary bytes through the request decoder:
 // every input must either decode to a fully validated job or fail with a
-// structured 4xx — never panic, never produce a half-valid request.
+// structured 4xx — never panic, never produce a half-valid request — and
+// an accepted job's key must be the one LoadTree + SetModes + CacheKey
+// derive from the same body.
 func FuzzOptimizeRequest(f *testing.F) {
 	for _, tree := range malformedTrees {
 		f.Add([]byte(fmt.Sprintf(`{"tree":%s}`, tree)))
@@ -79,6 +84,10 @@ func FuzzOptimizeRequest(f *testing.F) {
 	f.Add([]byte(fmt.Sprintf(`{"tree":%s,"baseJobId":"j-000001"}`, validTree)))
 	f.Add([]byte(fmt.Sprintf("{\"tree\":%s,\"baseJobId\":\"j-\u0000\u001b[2J\"}", validTree)))
 	f.Add([]byte(fmt.Sprintf(`{"tree":%s,"baseJobId":"../../etc/passwd"}`, validTree)))
+	// Accepted multi-mode and yield requests, whose keys cover the modes
+	// section and the yield extension.
+	f.Add([]byte(fmt.Sprintf(`{"tree":%s,"modes":[{"name":"lo","supplies":{"core":0.9}},{"name":"hi","supplies":{"core":1.1}}]}`, validTree)))
+	f.Add([]byte(fmt.Sprintf(`{"tree":%s,"yield":{"samples":64,"candidates":2}}`, validTree)))
 
 	opts := Options{}.withDefaults()
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -102,6 +111,27 @@ func FuzzOptimizeRequest(f *testing.F) {
 		}
 		if err := req.cfg.Validate(); err != nil {
 			t.Fatalf("accepted request carries invalid config: %v", err)
+		}
+		// The key is the one a design loaded from the same tree gives the
+		// same problem: one decode on the request path changes no key.
+		d, err := wavemin.LoadTree(bytes.NewReader(req.tree))
+		if err != nil {
+			t.Fatalf("accepted tree fails LoadTree: %v", err)
+		}
+		if len(req.modes) > 0 {
+			if err := d.SetModes(req.modes); err != nil {
+				t.Fatalf("accepted modes fail SetModes: %v", err)
+			}
+		}
+		want, err := d.CacheKey(req.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if req.yield != nil {
+			want = req.yield.Key(want)
+		}
+		if req.key != want {
+			t.Fatalf("request key %s, loaded design's %s", req.key, want)
 		}
 	})
 }

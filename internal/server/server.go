@@ -27,11 +27,12 @@
 //	GET, PUT  /v1/shard/zones/{key}  the same for zone solutions
 //
 // Results are cached under the canonical content hash of (tree, config,
-// modes) — wavemin.Design.CacheKey — so resubmitting an identical
-// problem is answered instantly, byte-for-byte identically, without
-// re-running the solver. Degraded (deadline-shaped) results are never
-// cached. Drain stops intake and finishes every accepted job — the
-// SIGTERM path of cmd/wavemind.
+// modes) — wavemin.Design.CacheKey, which a request derives from one
+// decode of its tree (wavemin.ReadCanonicalTree) without building it — so
+// resubmitting an identical problem is answered instantly, byte-for-byte
+// identically, without re-running the solver. Degraded (deadline-shaped)
+// results are never cached. Drain stops intake and finishes every
+// accepted job — the SIGTERM path of cmd/wavemind.
 package server
 
 import (

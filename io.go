@@ -69,18 +69,19 @@ func LoadTree(r io.Reader) (*Design, error) {
 		return nil, err
 	}
 	var w, h float64
-	tree.Walk(func(n *clocktree.Node) {
-		if n.X > w {
-			w = n.X
-		}
-		if n.Y > h {
-			h = n.Y
-		}
-	})
-	grid, err := powergrid.New(w+10, h+10, powergrid.DefaultOptions())
+	tree.Walk(func(n *clocktree.Node) { w, h = max(w, n.X), max(h, n.Y) })
+	dieW, dieH := dieExtent(w, h)
+	grid, err := powergrid.New(dieW, dieH, powergrid.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
 	return &Design{Tree: tree, Grid: grid, Modes: []Mode{NominalMode}, lib: lib,
-		dieW: w + 10, dieH: h + 10}, nil
+		dieW: dieW, dieH: dieH}, nil
+}
+
+// dieExtent is the die a loaded tree gets when its nodes reach at most
+// (maxX, maxY): the box from the origin that holds them, plus a 10 µm
+// margin.
+func dieExtent(maxX, maxY float64) (w, h float64) {
+	return max(maxX, 0) + 10, max(maxY, 0) + 10
 }

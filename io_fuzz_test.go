@@ -5,40 +5,45 @@ import (
 	"testing"
 )
 
-// FuzzLoadSinksCSV checks the CSV loader never panics and accepted sinks
-// are physically sane.
+// loadTreeSeeds are the malformed-tree shapes the loader's hardening
+// rejected one by one, after one valid tree: wrong format tag, empty node
+// list, unknown cell, out-of-range / duplicate IDs, dangling parents,
+// non-root node 0, negative or non-finite parasitics, and adjust steps on
+// a cell that has none.
+var loadTreeSeeds = []string{
+	`{"format":"wavemin-clocktree-v1","nodes":[
+ {"id":0,"parent":-1,"cell":"BUF_X8","x":10,"y":10},
+ {"id":1,"parent":0,"cell":"BUF_X8","x":20,"y":10,"wire_res":1,"wire_cap":2,"sink_cap":8},
+ {"id":2,"parent":0,"cell":"INV_X8","x":10,"y":20,"wire_res":1,"wire_cap":2,"sink_cap":8,"domain":"d1"}]}`,
+	`{}`,
+	`{"format":"wavemin-clocktree-v0","nodes":[{"id":0,"parent":-1,"cell":"BUF_X8","x":0,"y":0}]}`,
+	`{"format":"wavemin-clocktree-v1","nodes":[]}`,
+	`{"format":"wavemin-clocktree-v1","nodes":[{"id":0,"parent":-1,"cell":"NOPE","x":0,"y":0}]}`,
+	`{"format":"wavemin-clocktree-v1","nodes":[{"id":5,"parent":-1,"cell":"BUF_X8","x":0,"y":0}]}`,
+	`{"format":"wavemin-clocktree-v1","nodes":[{"id":0,"parent":-1,"cell":"BUF_X8","x":0,"y":0},{"id":0,"parent":0,"cell":"BUF_X8","x":0,"y":0}]}`,
+	`{"format":"wavemin-clocktree-v1","nodes":[{"id":0,"parent":-1,"cell":"BUF_X8","x":0,"y":0},{"id":1,"parent":7,"cell":"BUF_X8","x":0,"y":0}]}`,
+	`{"format":"wavemin-clocktree-v1","nodes":[{"id":0,"parent":1,"cell":"BUF_X8","x":0,"y":0},{"id":1,"parent":-1,"cell":"BUF_X8","x":0,"y":0}]}`,
+	`{"format":"wavemin-clocktree-v1","nodes":[{"id":0,"parent":-1,"cell":"BUF_X8","x":0,"y":0,"wire_res":-4}]}`,
+	`{"format":"wavemin-clocktree-v1","nodes":[{"id":0,"parent":-1,"cell":"BUF_X8","x":0,"y":0,"sink_cap":-1}]}`,
+	`{"format":"wavemin-clocktree-v1","nodes":[{"id":0,"parent":-1,"cell":"BUF_X8","x":1e999,"y":0}]}`,
+	`{"format":"wavemin-clocktree-v1","nodes":[{"id":0,"parent":-1,"cell":"BUF_X8","x":0,"y":0,"adjust_steps":{"m1":3}}]}`,
+}
+
 // FuzzLoadTree checks the tree loader never panics and every accepted
 // tree is internally consistent: LoadTree is the one entry point that
 // takes fully untrusted input, and the engine assumes Validate()-level
-// invariants everywhere downstream. The seeds are the malformed-tree
-// shapes the PR 1 hardening pass rejected one by one: wrong format tag,
-// empty node list, unknown cell, out-of-range / duplicate IDs, dangling
-// parents, non-root node 0, negative or non-finite parasitics, and adjust
-// steps on a cell that has none.
+// invariants everywhere downstream. It also holds the request path to
+// the loader: ReadCanonicalTree accepts and refuses what LoadTree does,
+// with the same error, and keys an accepted tree as the loaded design.
 func FuzzLoadTree(f *testing.F) {
-	valid := `{"format":"wavemin-clocktree-v1","nodes":[
- {"id":0,"parent":-1,"cell":"BUF_X8","x":10,"y":10},
- {"id":1,"parent":0,"cell":"BUF_X8","x":20,"y":10,"wire_res":1,"wire_cap":2,"sink_cap":8},
- {"id":2,"parent":0,"cell":"INV_X8","x":10,"y":20,"wire_res":1,"wire_cap":2,"sink_cap":8,"domain":"d1"}]}`
-	seeds := []string{
-		valid,
-		`{}`,
-		`{"format":"wavemin-clocktree-v0","nodes":[{"id":0,"parent":-1,"cell":"BUF_X8","x":0,"y":0}]}`,
-		`{"format":"wavemin-clocktree-v1","nodes":[]}`,
-		`{"format":"wavemin-clocktree-v1","nodes":[{"id":0,"parent":-1,"cell":"NOPE","x":0,"y":0}]}`,
-		`{"format":"wavemin-clocktree-v1","nodes":[{"id":5,"parent":-1,"cell":"BUF_X8","x":0,"y":0}]}`,
-		`{"format":"wavemin-clocktree-v1","nodes":[{"id":0,"parent":-1,"cell":"BUF_X8","x":0,"y":0},{"id":0,"parent":0,"cell":"BUF_X8","x":0,"y":0}]}`,
-		`{"format":"wavemin-clocktree-v1","nodes":[{"id":0,"parent":-1,"cell":"BUF_X8","x":0,"y":0},{"id":1,"parent":7,"cell":"BUF_X8","x":0,"y":0}]}`,
-		`{"format":"wavemin-clocktree-v1","nodes":[{"id":0,"parent":1,"cell":"BUF_X8","x":0,"y":0},{"id":1,"parent":-1,"cell":"BUF_X8","x":0,"y":0}]}`,
-		`{"format":"wavemin-clocktree-v1","nodes":[{"id":0,"parent":-1,"cell":"BUF_X8","x":0,"y":0,"wire_res":-4}]}`,
-		`{"format":"wavemin-clocktree-v1","nodes":[{"id":0,"parent":-1,"cell":"BUF_X8","x":0,"y":0,"sink_cap":-1}]}`,
-		`{"format":"wavemin-clocktree-v1","nodes":[{"id":0,"parent":-1,"cell":"BUF_X8","x":1e999,"y":0}]}`,
-		`{"format":"wavemin-clocktree-v1","nodes":[{"id":0,"parent":-1,"cell":"BUF_X8","x":0,"y":0,"adjust_steps":{"m1":3}}]}`,
+	for _, s := range loadTreeSeeds {
+		f.Add(s)
 	}
-	for _, s := range seeds {
+	for _, s := range requestTreeShapes {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
+		checkRequestKey(t, []byte(src))
 		d, err := LoadTree(strings.NewReader(src))
 		if err != nil {
 			return
@@ -61,6 +66,8 @@ func FuzzLoadTree(f *testing.F) {
 	})
 }
 
+// FuzzLoadSinksCSV checks the CSV loader never panics and accepted sinks
+// are physically sane.
 func FuzzLoadSinksCSV(f *testing.F) {
 	f.Add("x_um,y_um,cap_fF\n10,20,8\n")
 	f.Add("1,2,3\n")

@@ -328,6 +328,17 @@ func (d *Design) PartitionVoltageIslands(n int) []string {
 // name, so two modes may share a name only as exact duplicates (which add
 // no constraint); the same name with different supplies is refused.
 func (d *Design) SetModes(modes []Mode) error {
+	if err := checkModes(modes); err != nil {
+		return err
+	}
+	d.mu.Lock()
+	d.Modes = append([]Mode(nil), modes...)
+	d.mu.Unlock()
+	return nil
+}
+
+// checkModes makes SetModes' checks of a mode list.
+func checkModes(modes []Mode) error {
 	if len(modes) == 0 {
 		return fmt.Errorf("wavemin: empty mode list")
 	}
@@ -341,9 +352,6 @@ func (d *Design) SetModes(modes []Mode) error {
 		}
 		byName[m.Name] = m.Supplies
 	}
-	d.mu.Lock()
-	d.Modes = append([]Mode(nil), modes...)
-	d.mu.Unlock()
 	return nil
 }
 
