@@ -163,7 +163,9 @@ test-flake:
 # monotone, no wrong-shard cache write), and the request decoder (an
 # accepted request keys as LoadTree + SetModes + CacheKey would, the
 # request path accepts, refuses and words errors as LoadTree does, and
-# WriteJSON writes encoding/json's bytes). Seconds-long smoke for
+# WriteJSON writes encoding/json's bytes), and the peak sweep's bucketed
+# event order (a permutation, sorted, equal to slices.SortFunc's on
+# events with repeated and extreme times). Seconds-long smoke for
 # `make check`; run with a larger -fuzztime when hunting.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLeaseProtocol$$' -fuzztime 5s ./internal/dispatch
@@ -173,6 +175,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzYieldRequest$$' -fuzztime 5s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzOptimizeRequest$$' -fuzztime 5s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 5s ./internal/clocktree
+	$(GO) test -run '^$$' -fuzz '^FuzzEventOrder$$' -fuzztime 5s ./internal/clocktree
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadTree$$' -fuzztime 5s .
 
 verify: test race

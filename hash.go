@@ -77,7 +77,7 @@ type CanonicalTree struct {
 // LoadTree does, failing with the same errors, but builds no tree, power
 // grid or Design: it is how a service derives a request's cache key.
 func ReadCanonicalTree(raw []byte) (*CanonicalTree, error) {
-	tree, maxX, maxY, err := clocktree.CanonicalJSON(raw, cell.DefaultLibrary())
+	tree, maxX, maxY, err := clocktree.CanonicalJSON(raw, cell.SharedDefaultLibrary())
 	if err != nil {
 		return nil, err
 	}

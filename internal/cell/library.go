@@ -164,6 +164,15 @@ func DefaultLibrary() *Library {
 	return MustNewLibrary(cells...)
 }
 
+// sharedDefault is the library SharedDefaultLibrary returns.
+var sharedDefault = DefaultLibrary()
+
+// SharedDefaultLibrary returns one DefaultLibrary, built once and shared
+// by every caller: the library the tree loaders resolve cell names
+// against, so a request decode does not rebuild it. Its cells must not be
+// edited; a caller that edits cells takes its own from DefaultLibrary.
+func SharedDefaultLibrary() *Library { return sharedDefault }
+
 // SizingLibrary returns the four leaf types the paper's experiments assign
 // (§VII-A): BUF_X8, BUF_X16, INV_X8, INV_X16.
 func SizingLibrary() *Library {

@@ -56,3 +56,53 @@ func TestMeasureTreeNoiseBitsPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestMaxDeviationsMatchTransient: on the grid and injections of each
+// paper circuit, as synthesized and at both source edges, the running
+// maxima Simulate reads equal bit for bit what Result.MaxDeviation reads
+// off the full transient table, at every node of the circuit.
+func TestMaxDeviationsMatchTransient(t *testing.T) {
+	for _, spec := range bench.Specs() {
+		opt := cts.DefaultOptions()
+		opt.LeafCell = "BUF_X8"
+		tree, err := spec.Synthesize(cell.DefaultLibrary(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gopt := DefaultOptions()
+		if spec.Clustered {
+			gopt = DenseOptions()
+		}
+		g, err := New(spec.DieW, spec.DieH, gopt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tm := tree.ComputeTiming(clocktree.NominalMode)
+		for _, e := range []cell.Edge{cell.Rising, cell.Falling} {
+			inj := TreeInjections(tree, tm, e)
+			t1 := 0.0
+			for _, in := range inj {
+				t1 = math.Max(t1, math.Max(in.IDD.Last(), in.ISS.Last()))
+			}
+			m, err := g.circuit(inj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			res, err := m.ckt.Transient(ctx, 0, t1+100, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dev, err := m.ckt.MaxDeviations(ctx, 0, t1+100, 2, m.ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for n := range dev {
+				if want := res.MaxDeviation(n, m.ref[n]); math.Float64bits(dev[n]) != math.Float64bits(want) {
+					t.Fatalf("%s/%v: node %s deviates %g, the transient table says %g",
+						spec.Name, e, m.ckt.NodeName(n), dev[n], want)
+				}
+			}
+		}
+	}
+}

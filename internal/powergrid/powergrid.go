@@ -111,30 +111,63 @@ type Report struct {
 // context bounds the underlying transient solve.
 func (g *Grid) Simulate(ctx context.Context, inj []Injection, t0, t1, dt float64) (*Report, error) {
 	faultinject.At(faultinject.SitePowergridSim)
+	m, err := g.circuit(inj)
+	if err != nil {
+		return nil, err
+	}
+	dev, err := m.ckt.MaxDeviations(ctx, t0, t1, dt, m.ref)
+	if err != nil {
+		return nil, err
+	}
+	rep := &Report{}
+	for _, n := range m.vdd {
+		if dev[n] > rep.VDDNoise {
+			rep.VDDNoise = dev[n]
+		}
+	}
+	for _, n := range m.gnd {
+		if dev[n] > rep.GndNoise {
+			rep.GndNoise = dev[n]
+		}
+	}
+	return rep, nil
+}
+
+// meshCircuit is the netlist Simulate solves, with the circuit node of
+// every VDD- and ground-mesh point (row-major) and the voltage each
+// circuit node's deviation is measured from: VDD on the VDD mesh, 0
+// everywhere else.
+type meshCircuit struct {
+	ckt      *spice.Circuit
+	vdd, gnd []int
+	ref      []float64
+}
+
+// circuit builds both meshes with their segments and decaps, the boundary
+// pads, and the injections.
+func (g *Grid) circuit(inj []Injection) (*meshCircuit, error) {
 	ckt := spice.NewCircuit()
-	vddNode := make([][]int, g.rows)
-	gndNode := make([][]int, g.rows)
+	m := &meshCircuit{ckt: ckt, vdd: make([]int, g.rows*g.cols), gnd: make([]int, g.rows*g.cols)}
+	at := func(r, c int) int { return r*g.cols + c }
 	for r := 0; r < g.rows; r++ {
-		vddNode[r] = make([]int, g.cols)
-		gndNode[r] = make([]int, g.cols)
 		for c := 0; c < g.cols; c++ {
-			vddNode[r][c] = ckt.Node(fmt.Sprintf("vdd_%d_%d", r, c))
-			gndNode[r][c] = ckt.Node(fmt.Sprintf("gnd_%d_%d", r, c))
+			m.vdd[at(r, c)] = ckt.Node(fmt.Sprintf("vdd_%d_%d", r, c))
+			m.gnd[at(r, c)] = ckt.Node(fmt.Sprintf("gnd_%d_%d", r, c))
 		}
 	}
 	// Mesh segments.
 	for r := 0; r < g.rows; r++ {
 		for c := 0; c < g.cols; c++ {
 			if c+1 < g.cols {
-				ckt.R(vddNode[r][c], vddNode[r][c+1], g.opt.SegRes)
-				ckt.R(gndNode[r][c], gndNode[r][c+1], g.opt.SegRes)
+				ckt.R(m.vdd[at(r, c)], m.vdd[at(r, c+1)], g.opt.SegRes)
+				ckt.R(m.gnd[at(r, c)], m.gnd[at(r, c+1)], g.opt.SegRes)
 			}
 			if r+1 < g.rows {
-				ckt.R(vddNode[r][c], vddNode[r+1][c], g.opt.SegRes)
-				ckt.R(gndNode[r][c], gndNode[r+1][c], g.opt.SegRes)
+				ckt.R(m.vdd[at(r, c)], m.vdd[at(r+1, c)], g.opt.SegRes)
+				ckt.R(m.gnd[at(r, c)], m.gnd[at(r+1, c)], g.opt.SegRes)
 			}
 			if g.opt.Decap > 0 {
-				ckt.C(vddNode[r][c], gndNode[r][c], g.opt.Decap)
+				ckt.C(m.vdd[at(r, c)], m.gnd[at(r, c)], g.opt.Decap)
 			}
 		}
 	}
@@ -150,10 +183,10 @@ func (g *Grid) Simulate(ctx context.Context, inj []Injection, t0, t1, dt float64
 			}
 			vp := ckt.Node(fmt.Sprintf("vpad_%d_%d", r, c))
 			ckt.V(vp, g.opt.VDD)
-			ckt.R(vp, vddNode[r][c], bumpRes)
+			ckt.R(vp, m.vdd[at(r, c)], bumpRes)
 			gp := ckt.Node(fmt.Sprintf("gpad_%d_%d", r, c))
 			ckt.V(gp, 0)
-			ckt.R(gp, gndNode[r][c], bumpRes)
+			ckt.R(gp, m.gnd[at(r, c)], bumpRes)
 			pads++
 		}
 	}
@@ -164,28 +197,17 @@ func (g *Grid) Simulate(ctx context.Context, inj []Injection, t0, t1, dt float64
 	for _, in := range inj {
 		cx, cy := g.nearestNode(in.X, in.Y)
 		if !in.IDD.IsZero() {
-			ckt.I(vddNode[cy][cx], spice.Ground, in.IDD)
+			ckt.I(m.vdd[at(cy, cx)], spice.Ground, in.IDD)
 		}
 		if !in.ISS.IsZero() {
-			ckt.I(spice.Ground, gndNode[cy][cx], in.ISS)
+			ckt.I(spice.Ground, m.gnd[at(cy, cx)], in.ISS)
 		}
 	}
-	res, err := ckt.Transient(ctx, t0, t1, dt)
-	if err != nil {
-		return nil, err
+	m.ref = make([]float64, ckt.NumNodes())
+	for _, n := range m.vdd {
+		m.ref[n] = g.opt.VDD
 	}
-	rep := &Report{}
-	for r := 0; r < g.rows; r++ {
-		for c := 0; c < g.cols; c++ {
-			if d := res.MaxDeviation(vddNode[r][c], g.opt.VDD); d > rep.VDDNoise {
-				rep.VDDNoise = d
-			}
-			if d := res.MaxDeviation(gndNode[r][c], 0); d > rep.GndNoise {
-				rep.GndNoise = d
-			}
-		}
-	}
-	return rep, nil
+	return m, nil
 }
 
 // TreeInjections extracts one Injection per clock-tree node for the given

@@ -12,7 +12,8 @@ import (
 // decode for an s13207-size tree, the median request of the service
 // benchmark: the decode checks the tree and hashes its canonical form
 // without building a clock tree, a power grid or a design (448 allocations
-// when it did).
+// when it did), against the shared default cell library (280 when it
+// built a fresh one per request).
 func TestDecodeOptimizeRequestAllocs(t *testing.T) {
 	d, err := wavemin.Benchmark("s13207")
 	if err != nil {
@@ -33,7 +34,7 @@ func TestDecodeOptimizeRequestAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("%d-byte body: %.0f allocations per decode", len(body), allocs)
-	if allocs > 330 {
-		t.Fatalf("decodeOptimizeRequest made %.0f allocations, want at most 330", allocs)
+	if allocs > 240 {
+		t.Fatalf("decodeOptimizeRequest made %.0f allocations, want at most 240", allocs)
 	}
 }

@@ -197,6 +197,12 @@ func TestBadInputs(t *testing.T) {
 	if _, err := NewCircuit().Transient(context.Background(), 0, 1, 0.1); err == nil {
 		t.Error("empty circuit should error")
 	}
+	if _, err := c.MaxDeviations(context.Background(), 0, 5, 0, []float64{0, 0}); err == nil {
+		t.Error("MaxDeviations: zero dt should error")
+	}
+	if _, err := c.MaxDeviations(context.Background(), 0, 5, 1, []float64{0}); err == nil {
+		t.Error("MaxDeviations: one reference voltage for two nodes should error")
+	}
 	func() {
 		defer func() {
 			if recover() == nil {

@@ -90,3 +90,32 @@ func TestRampValidation(t *testing.T) {
 		}()
 	}
 }
+
+// TestMaxDeviationsMatchResult: with switched elements the transient
+// re-factors every step; the running maxima still equal, bit for bit,
+// what Result.MaxDeviation reads off the recorded table, ground included.
+func TestMaxDeviationsMatchResult(t *testing.T) {
+	c := NewCircuit()
+	vdd := c.Node("vdd")
+	out := c.Node("out")
+	c.V(vdd, 1.1)
+	c.SwitchedR(vdd, out, RampOff(50, 10, 1.0))
+	c.SwitchedR(out, Ground, RampOn(50, 10, 1.0))
+	c.C(out, Ground, 20)
+	c.I(out, Ground, waveform.Triangle(80, 5, 15, 300))
+	ctx := context.Background()
+	res, err := c.Transient(ctx, 0, 300, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := []float64{0.3, 1.1, 0.55}
+	dev, err := c.MaxDeviations(ctx, 0, 300, 0.5, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := range dev {
+		if want := res.MaxDeviation(n, ref[n]); math.Float64bits(dev[n]) != math.Float64bits(want) {
+			t.Errorf("node %s: MaxDeviations %g, Result.MaxDeviation %g", c.NodeName(n), dev[n], want)
+		}
+	}
+}

@@ -13,20 +13,97 @@ import (
 const gmin = 1e-9 // mS
 
 // Transient simulates the circuit from t0 to t1 with a fixed step dt (ps)
-// using trapezoidal integration. The initial condition is the DC operating
-// point at t0 (capacitors open, sources evaluated at t0). The context is
-// checked every time step, so long transients cancel promptly.
+// using trapezoidal integration and records every node voltage and every
+// voltage-source current at every step. The initial condition is the DC
+// operating point at t0 (capacitors open, sources evaluated at t0). The
+// context is checked every time step, so long transients cancel promptly.
 func (c *Circuit) Transient(ctx context.Context, t0, t1, dt float64) (*Result, error) {
-	if dt <= 0 || t1 <= t0 {
-		return nil, fmt.Errorf("spice: bad time window [%g,%g] dt=%g", t0, t1, dt)
+	steps, err := c.steps(t0, t1, dt)
+	if err != nil {
+		return nil, err
 	}
+	nn, nv := len(c.names), len(c.vsources)
+	res := &Result{
+		Times:   make([]float64, steps),
+		nodes:   nn,
+		sources: nv,
+		v:       make([]float64, steps*nn),
+		isrcV:   make([]float64, steps*nv),
+	}
+	err = c.integrate(ctx, t0, dt, steps, func(k int, t float64, sol []float64) {
+		res.Times[k] = t
+		// Column 0 is ground and stays 0.
+		copy(res.v[k*nn+1:(k+1)*nn], sol[:nn-1])
+		br := res.isrcV[k*nv : (k+1)*nv]
+		for i := range br {
+			// Branch unknown is current flowing out of the node into the
+			// source; the supply *delivers* the negative of that.
+			br[i] = -sol[(nn-1)+i]
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// MaxDeviations runs the transient Transient runs and returns, for every
+// node, the largest |V(node) − ref[node]| over the run in volts: the
+// values Result.MaxDeviation reports, bit for bit, without recording a
+// table of every node at every step. ref holds one voltage per node,
+// ground included.
+func (c *Circuit) MaxDeviations(ctx context.Context, t0, t1, dt float64, ref []float64) ([]float64, error) {
+	steps, err := c.steps(t0, t1, dt)
+	if err != nil {
+		return nil, err
+	}
+	nn := len(c.names)
+	if len(ref) != nn {
+		return nil, fmt.Errorf("spice: %d reference voltages for %d nodes", len(ref), nn)
+	}
+	worst := make([]float64, nn)
+	err = c.integrate(ctx, t0, dt, steps, func(_ int, _ float64, sol []float64) {
+		for node := range worst {
+			v := 0.0 // ground
+			if node != Ground {
+				v = sol[node-1]
+			}
+			d := v - ref[node]
+			if d < 0 {
+				d = -d
+			}
+			if d > worst[node] {
+				worst[node] = d
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return worst, nil
+}
+
+// steps validates a time window and returns the number of time points a
+// transient over it visits, t0 included.
+func (c *Circuit) steps(t0, t1, dt float64) (int, error) {
+	if dt <= 0 || t1 <= t0 {
+		return 0, fmt.Errorf("spice: bad time window [%g,%g] dt=%g", t0, t1, dt)
+	}
+	if len(c.names)-1+len(c.vsources) == 0 {
+		return 0, fmt.Errorf("spice: empty circuit")
+	}
+	return int((t1-t0)/dt+0.5) + 1, nil
+}
+
+// integrate is the one trapezoidal integration loop: it solves the DC
+// operating point at t0 and then steps times t0 + k·dt for k < steps,
+// handing visit each step's solution — node voltages of nodes 1.. in
+// volts, then voltage-source branch currents in mA. visit must not keep
+// sol, which the next step overwrites.
+func (c *Circuit) integrate(ctx context.Context, t0, dt float64, steps int, visit func(k int, t float64, sol []float64)) error {
 	nn := len(c.names) // includes ground
 	nv := len(c.vsources)
 	dim := (nn - 1) + nv // unknowns: node voltages (minus ground) + branch currents
-
-	if dim == 0 {
-		return nil, fmt.Errorf("spice: empty circuit")
-	}
 
 	// idx maps a node number to its matrix row, -1 for ground.
 	idx := func(node int) int { return node - 1 }
@@ -37,11 +114,11 @@ func (c *Circuit) Transient(ctx context.Context, t0, t1, dt float64) (*Result, e
 
 	// DC operating point: caps open, switches at their t0 state.
 	if err := c.stamp(m, false, t0, dt); err != nil {
-		return nil, err
+		return err
 	}
 	luDC, err := factor(m)
 	if err != nil {
-		return nil, fmt.Errorf("spice: DC solve: %w", err)
+		return fmt.Errorf("spice: DC solve: %w", err)
 	}
 	rhs := make([]float64, dim)
 	x := make([]float64, dim)
@@ -93,48 +170,28 @@ func (c *Circuit) Transient(ctx context.Context, t0, t1, dt float64) (*Result, e
 	var luTR *lu
 	if !timeVarying {
 		if err := c.stamp(m, true, t0, dt); err != nil {
-			return nil, err
+			return err
 		}
 		luTR, err = factor(m)
 		if err != nil {
-			return nil, fmt.Errorf("spice: transient factor: %w", err)
+			return fmt.Errorf("spice: transient factor: %w", err)
 		}
 	}
 
-	steps := int((t1-t0)/dt+0.5) + 1
-	res := &Result{
-		Times:   make([]float64, steps),
-		nodes:   nn,
-		sources: nv,
-		v:       make([]float64, steps*nn),
-		isrcV:   make([]float64, steps*nv),
-	}
-	record := func(k int, t float64, sol []float64) {
-		res.Times[k] = t
-		// Column 0 is ground and stays 0.
-		copy(res.v[k*nn+1:(k+1)*nn], sol[:nn-1])
-		br := res.isrcV[k*nv : (k+1)*nv]
-		for i := range br {
-			// Branch unknown is current flowing out of the node into the
-			// source; the supply *delivers* the negative of that.
-			br[i] = -sol[(nn-1)+i]
-		}
-	}
-	record(0, t0, x)
-
+	visit(0, t0, x)
 	xNext := make([]float64, dim)
 	for k := 1; k < steps; k++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		t := t0 + float64(k)*dt
 		if timeVarying {
 			if err := c.stamp(m, true, t, dt); err != nil {
-				return nil, err
+				return err
 			}
 			luTR, err = factor(m)
 			if err != nil {
-				return nil, fmt.Errorf("spice: transient factor at t=%g: %w", t, err)
+				return fmt.Errorf("spice: transient factor at t=%g: %w", t, err)
 			}
 		}
 		fillSources(t)
@@ -157,10 +214,10 @@ func (c *Circuit) Transient(ctx context.Context, t0, t1, dt float64) (*Result, e
 			newIc := geq*(newVc-vc[i]) - ic[i]
 			vc[i], ic[i] = newVc, newIc
 		}
-		record(k, t, xNext)
+		visit(k, t, xNext)
 		x, xNext = xNext, x
 	}
-	return res, nil
+	return nil
 }
 
 // stamp writes the circuit's MNA matrix at time t into m, which it clears

@@ -43,7 +43,8 @@ type ChunkSpec struct {
 
 // Validate bounds a chunk spec: specs normally come from a trusted
 // coordinator, but the executor is reachable through the open lease
-// protocol, so it re-checks before burning CPU.
+// protocol, so it re-checks before burning CPU. σ and the correlation get
+// Params.Validate's bounds.
 func (c *ChunkSpec) Validate() error {
 	switch {
 	case len(c.Tree) == 0:
@@ -56,6 +57,8 @@ func (c *ChunkSpec) Validate() error {
 		return fmt.Errorf("yield: chunk start %d out of range", c.Start)
 	case math.IsNaN(c.Sigma) || math.IsInf(c.Sigma, 0) || c.Sigma < 0 || c.Sigma > 1:
 		return fmt.Errorf("yield: chunk sigma %g out of range", c.Sigma)
+	case math.IsNaN(c.Correlation) || math.IsInf(c.Correlation, 0) || c.Correlation < 0 || c.Correlation > 1:
+		return fmt.Errorf("yield: chunk correlation %g out of range", c.Correlation)
 	case math.IsNaN(c.Kappa) || c.Kappa <= 0:
 		return fmt.Errorf("yield: chunk kappa %g out of range", c.Kappa)
 	case math.IsNaN(c.PeakCap) || c.PeakCap < 0:
@@ -156,7 +159,7 @@ func ExecuteChunk(ctx context.Context, spec *ChunkSpec) (*ChunkStats, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	tree, err := clocktree.ReadJSON(bytes.NewReader(spec.Tree), cell.DefaultLibrary())
+	tree, err := clocktree.ReadJSON(bytes.NewReader(spec.Tree), cell.SharedDefaultLibrary())
 	if err != nil {
 		return nil, fmt.Errorf("yield: chunk tree: %w", err)
 	}

@@ -339,8 +339,8 @@ func Run(ctx context.Context, cands []Candidate, p Params, rejected int, mode *c
 	return rep, nil
 }
 
-// ParseTree parses canonical tree bytes with the default cell library —
-// a convenience for runners that pre-parse candidate trees.
+// ParseTree parses canonical tree bytes with the shared default cell
+// library — a convenience for runners that pre-parse candidate trees.
 func ParseTree(treeJSON []byte) (*clocktree.Tree, error) {
-	return clocktree.ReadJSON(bytes.NewReader(treeJSON), cell.DefaultLibrary())
+	return clocktree.ReadJSON(bytes.NewReader(treeJSON), cell.SharedDefaultLibrary())
 }

@@ -63,7 +63,7 @@ func (d *Design) SaveTree(w io.Writer) error {
 // grid is rebuilt over the tree's bounding box and the modes reset to
 // nominal (re-declare with SetModes).
 func LoadTree(r io.Reader) (*Design, error) {
-	lib := cell.DefaultLibrary()
+	lib := cell.SharedDefaultLibrary()
 	tree, err := clocktree.ReadJSON(r, lib)
 	if err != nil {
 		return nil, err

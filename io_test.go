@@ -5,8 +5,11 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
+
+	"wavemin/internal/cell"
 )
 
 func TestLoadSinksCSV(t *testing.T) {
@@ -97,5 +100,40 @@ func TestBenchgenCSVComposesWithLoadSinks(t *testing.T) {
 	}
 	if len(d.Tree.Leaves()) != 8 {
 		t.Fatalf("%d leaves", len(d.Tree.Leaves()))
+	}
+}
+
+// TestLoadTreeLeavesSharedLibraryUnchanged: loaded designs resolve their
+// cells against one shared default library, so nothing a multi-mode
+// ClkWaveMin run with ADB and ADI insertion does to a loaded design may
+// edit a cell of it.
+func TestLoadTreeLeavesSharedLibraryUnchanged(t *testing.T) {
+	src, err := Benchmark("s15850")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := src.SaveTree(&buf); err != nil {
+		t.Fatal(err)
+	}
+	d, err := LoadTree(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	domains := d.PartitionVoltageIslands(2)
+	if err := d.SetModes([]Mode{
+		{Name: "M1", Supplies: map[string]float64{domains[0]: 1.1, domains[1]: 1.1}},
+		{Name: "M2", Supplies: map[string]float64{domains[0]: 0.9, domains[1]: 1.1}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Optimize(context.Background(), Config{Kappa: 14, Samples: 16, EnableADI: true, MaxIntersections: 4}); err != nil {
+		t.Fatal(err)
+	}
+	got, want := cell.SharedDefaultLibrary().Cells(), cell.DefaultLibrary().Cells()
+	for i := range want {
+		if !reflect.DeepEqual(*got[i], *want[i]) {
+			t.Errorf("shared library cell %s is %+v, want %+v", want[i].Name, *got[i], *want[i])
+		}
 	}
 }
