@@ -162,7 +162,8 @@ test-flake:
 # forged handoff pushes: structured 4xx or ignored-with-counter, version
 # monotone, no wrong-shard cache write), and the request decoder (an
 # accepted request keys as LoadTree + SetModes + CacheKey would, the
-# request path accepts, refuses and words errors as LoadTree does, and
+# request path accepts, refuses and words errors as LoadTree does, the
+# one-pass envelope reader answers only as the Decoder path would, and
 # WriteJSON writes encoding/json's bytes), and the peak sweep's bucketed
 # event order (a permutation, sorted, equal to slices.SortFunc's on
 # events with repeated and extreme times). Seconds-long smoke for
@@ -174,6 +175,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzShardMapGossip$$' -fuzztime 5s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzYieldRequest$$' -fuzztime 5s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzOptimizeRequest$$' -fuzztime 5s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzRequestEnvelope$$' -fuzztime 5s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 5s ./internal/clocktree
 	$(GO) test -run '^$$' -fuzz '^FuzzEventOrder$$' -fuzztime 5s ./internal/clocktree
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadTree$$' -fuzztime 5s .
@@ -183,7 +185,7 @@ verify: test race
 # Benchmark snapshot: one pass over every benchmark, recorded as
 # BENCH_<date>.json for regression tracking against BENCH_baseline.json.
 bench: build
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x . ./internal/yield | tee bench.out
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x . ./internal/yield ./internal/server | tee bench.out
 	$(GO) run ./scripts/benchjson < bench.out > BENCH_$(BENCH_DATE).json
 	@rm -f bench.out
 	@echo wrote BENCH_$(BENCH_DATE).json

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"time"
 
 	"wavemin"
@@ -136,24 +137,210 @@ type optimizeRequest struct {
 // decodeOptimizeRequest parses and validates one POST /v1/optimize body.
 // Every rejection is a structured 4xx apiError — malformed input must
 // never surface as a 500 or a panic (FuzzOptimizeRequest pins this).
+// The envelope is read by readEnvelope when it can answer and by
+// decodeEnvelope when it cannot; everything after runs on whichever
+// wireRequest comes out.
 func decodeOptimizeRequest(body []byte, opts Options) (*optimizeRequest, *apiError) {
+	wire, tree, ok := readEnvelope(body)
+	if !ok {
+		var apiErr *apiError
+		if wire, tree, apiErr = decodeEnvelope(body); apiErr != nil {
+			return nil, apiErr
+		}
+	}
+	return newOptimizeRequest(&wire, tree, opts)
+}
+
+// decodeEnvelope decodes a request body with encoding/json's Decoder,
+// unknown fields refused, and reads its tree. It is the reference for
+// every body: its acceptance, its error text and its error order are the
+// service's.
+func decodeEnvelope(body []byte) (wireRequest, *wavemin.CanonicalTree, *apiError) {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	var wire wireRequest
 	if err := dec.Decode(&wire); err != nil {
-		return nil, badRequest("request body: %v", err)
+		return wire, nil, badRequest("request body: %v", err)
 	}
-	if dec.More() {
-		return nil, badRequest("request body: trailing data after the request object")
+	if skipSpace(body, int(dec.InputOffset())) < len(body) {
+		return wire, nil, badRequest("request body: trailing data after the request object")
 	}
 	if len(wire.Tree) == 0 {
-		return nil, badRequest("missing required field %q", "tree")
+		return wire, nil, badRequest("missing required field %q", "tree")
 	}
 	tree, err := wavemin.ReadCanonicalTree(wire.Tree)
 	if err != nil {
-		return nil, badRequest("tree: %v", err)
+		return wire, nil, badRequest("tree: %v", err)
 	}
+	return wire, tree, nil
+}
 
+// wireKeys are wireRequest's JSON keys, in field order; readField decodes
+// the field at each index.
+var wireKeys = [...]string{"tree", "config", "modes", "priority", "timeoutMs", "noCache", "baseJobId", "trace", "yield"}
+
+// readEnvelope reads a request body in one pass: it walks the top-level
+// object once, hands the tree to ReadCanonicalTree as a sub-slice of body,
+// with no copy, and decodes only the small fields, each from its own
+// sub-slice. It answers (ok) only where decodeEnvelope would accept the
+// body with the same wireRequest: every key one of wireKeys, written
+// exactly, none escaped or repeated; only JSON whitespace between tokens
+// and after the closing brace; every field decoding cleanly and the tree
+// passing ReadCanonicalTree. Everything else — a key encoding/json would
+// match case-insensitively, a repeated key it would merge — is left to
+// decodeEnvelope, whose answer then stands.
+func readEnvelope(body []byte) (wire wireRequest, tree *wavemin.CanonicalTree, ok bool) {
+	i := skipSpace(body, 0)
+	if i == len(body) || body[i] != '{' {
+		return wire, nil, false
+	}
+	var seen [len(wireKeys)]bool
+	for {
+		// A key: no wire name holds a quote or a backslash, so the first
+		// quote closes it, and an escaped or unknown key matches none.
+		i = skipSpace(body, i+1)
+		if i == len(body) || body[i] != '"' {
+			return wire, nil, false
+		}
+		n := bytes.IndexByte(body[i+1:], '"')
+		if n < 0 {
+			return wire, nil, false
+		}
+		f := slices.Index(wireKeys[:], string(body[i+1:i+1+n]))
+		if f < 0 || seen[f] {
+			return wire, nil, false
+		}
+		seen[f] = true
+		i = skipSpace(body, i+n+2)
+		if i == len(body) || body[i] != ':' {
+			return wire, nil, false
+		}
+		i = skipSpace(body, i+1)
+		end := valueEnd(body, i)
+		if end <= i || !wire.readField(f, body[i:end]) {
+			return wire, nil, false
+		}
+		i = skipSpace(body, end)
+		if i < len(body) && body[i] == '}' {
+			break
+		}
+		if i == len(body) || body[i] != ',' {
+			return wire, nil, false
+		}
+	}
+	if skipSpace(body, i+1) < len(body) || len(wire.Tree) == 0 {
+		return wire, nil, false
+	}
+	tree, err := wavemin.ReadCanonicalTree(wire.Tree)
+	return wire, tree, err == nil
+}
+
+// readField decodes val, the value of field f, as decodeEnvelope's
+// Decoder decodes that field, and reports whether it decoded cleanly.
+// The tree must be an object: the one value ReadCanonicalTree can accept,
+// and one whose extent valueEnd finds exactly.
+func (w *wireRequest) readField(f int, val []byte) bool {
+	switch wireKeys[f] {
+	case "tree":
+		w.Tree = val
+		return val[0] == '{'
+	case "config":
+		return decodeStrict(val, &w.Config)
+	case "modes":
+		return decodeStrict(val, &w.Modes)
+	case "yield":
+		return decodeStrict(val, &w.Yield)
+	case "priority":
+		return json.Unmarshal(val, &w.Priority) == nil
+	case "timeoutMs":
+		return json.Unmarshal(val, &w.TimeoutMs) == nil
+	case "noCache":
+		return json.Unmarshal(val, &w.NoCache) == nil
+	case "baseJobId":
+		return json.Unmarshal(val, &w.BaseJobID) == nil
+	case "trace":
+		return json.Unmarshal(val, &w.Trace) == nil
+	}
+	return false
+}
+
+// decodeStrict decodes val into v with unknown fields refused, as the
+// request Decoder decodes a nested value, and reports whether it decoded
+// cleanly and consumed all of val.
+func decodeStrict(val []byte, v any) bool {
+	dec := json.NewDecoder(bytes.NewReader(val))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v) == nil && dec.InputOffset() == int64(len(val))
+}
+
+// skipSpace returns the index of the first byte at or after i in b that
+// is not JSON whitespace, or len(b).
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && isSpace(b[i]) {
+		i++
+	}
+	return i
+}
+
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
+
+// valueEnd returns the index just past the JSON value that starts at
+// b[i], or -1. It finds only the value's extent — a string up to its
+// closing quote, an object or array up to the bracket that closes it
+// outside strings, anything else up to the next delimiter — and leaves
+// checking the value to its decoder: on a valid value the extent is
+// exactly the value.
+func valueEnd(b []byte, i int) int {
+	if i == len(b) {
+		return -1
+	}
+	switch b[i] {
+	case '"':
+		if i = stringEnd(b, i+1); i < 0 {
+			return -1
+		}
+		return i + 1
+	case '{', '[':
+		depth := 0
+		for ; i < len(b); i++ {
+			switch b[i] {
+			case '"':
+				if i = stringEnd(b, i+1); i < 0 {
+					return -1
+				}
+			case '{', '[':
+				depth++
+			case '}', ']':
+				if depth--; depth == 0 {
+					return i + 1
+				}
+			}
+		}
+		return -1
+	}
+	for i < len(b) && b[i] != ',' && b[i] != '}' && b[i] != ']' && !isSpace(b[i]) {
+		i++
+	}
+	return i
+}
+
+// stringEnd returns the index of the quote that closes a JSON string
+// whose body starts at b[i], or -1: an escape's second byte is never it.
+func stringEnd(b []byte, i int) int {
+	for ; i < len(b); i++ {
+		switch b[i] {
+		case '\\':
+			i++
+		case '"':
+			return i
+		}
+	}
+	return -1
+}
+
+// newOptimizeRequest validates a decoded envelope, whose tree already
+// passed ReadCanonicalTree, into a ready-to-queue job.
+func newOptimizeRequest(wire *wireRequest, tree *wavemin.CanonicalTree, opts Options) (*optimizeRequest, *apiError) {
 	var cfg wavemin.Config
 	if wire.Config != nil {
 		cfg = wavemin.Config{
@@ -216,9 +403,14 @@ func decodeOptimizeRequest(body []byte, opts Options) (*optimizeRequest, *apiErr
 	if wire.TimeoutMs < 0 {
 		return nil, badRequest("timeoutMs: negative timeout %d", wire.TimeoutMs)
 	}
-	timeout := time.Duration(wire.TimeoutMs) * time.Millisecond
-	if timeout == 0 {
-		timeout = opts.DefaultTimeout
+	// Clamped in milliseconds first: a huge timeoutMs must not wrap the
+	// Duration product to a deadline already past.
+	timeout := opts.DefaultTimeout
+	if wire.TimeoutMs > 0 {
+		timeout = opts.MaxTimeout
+		if wire.TimeoutMs <= int64(opts.MaxTimeout/time.Millisecond) {
+			timeout = time.Duration(wire.TimeoutMs) * time.Millisecond
+		}
 	}
 	if timeout > opts.MaxTimeout {
 		timeout = opts.MaxTimeout

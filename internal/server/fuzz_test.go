@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -56,6 +58,12 @@ var malformedRequests = []string{
 	// a solver run.
 	`{"tree":{"format":"wavemin-clocktree-v1","nodes":[{"id":0,"parent":-1,"cell":"BUF_X8","x":0,"y":0}]},"baseJobId":17}`,
 	`{"tree":{"format":"wavemin-clocktree-v1","nodes":[{"id":0,"parent":-1,"cell":"BUF_X8","x":0,"y":0}]},"baseJobId":"j-000001"}`,
+	// A complete request followed by a closer: encoding/json's
+	// Decoder.More reports false at '}' and ']', so only a check that
+	// nothing but whitespace follows the object refuses these.
+	`{"tree":{"format":"wavemin-clocktree-v1","nodes":[{"id":0,"parent":-1,"cell":"BUF_X8","x":0,"y":0}]}}}`,
+	`{"tree":{"format":"wavemin-clocktree-v1","nodes":[{"id":0,"parent":-1,"cell":"BUF_X8","x":0,"y":0}]}}]`,
+	`{"tree":{"format":"wavemin-clocktree-v1","nodes":[{"id":0,"parent":-1,"cell":"BUF_X8","x":0,"y":0}]}}}}]`,
 }
 
 // FuzzOptimizeRequest drives arbitrary bytes through the request decoder:
@@ -88,6 +96,10 @@ func FuzzOptimizeRequest(f *testing.F) {
 	// section and the yield extension.
 	f.Add([]byte(fmt.Sprintf(`{"tree":%s,"modes":[{"name":"lo","supplies":{"core":0.9}},{"name":"hi","supplies":{"core":1.1}}]}`, validTree)))
 	f.Add([]byte(fmt.Sprintf(`{"tree":%s,"yield":{"samples":64,"candidates":2}}`, validTree)))
+	// Timeouts whose Duration in nanoseconds overflows int64: they clamp to
+	// the server's ceiling, not to a deadline already past.
+	f.Add([]byte(fmt.Sprintf(`{"tree":%s,"timeoutMs":9223372036854775807}`, validTree)))
+	f.Add([]byte(fmt.Sprintf(`{"tree":%s,"timeoutMs":18446744073709}`, validTree)))
 
 	opts := Options{}.withDefaults()
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -132,6 +144,125 @@ func FuzzOptimizeRequest(f *testing.F) {
 		}
 		if req.key != want {
 			t.Fatalf("request key %s, loaded design's %s", req.key, want)
+		}
+	})
+}
+
+// envelopeTree is a valid one-node tree; quotedTree is a valid tree
+// whose strings hold quotes, brackets and escapes, which the one-pass
+// reader's bracket count must step over.
+const (
+	envelopeTree = `{"format":"wavemin-clocktree-v1","nodes":[{"id":0,"parent":-1,"cell":"BUF_X8","x":0,"y":0}]}`
+	quotedTree   = `{"format":"wavemin-clocktree-v1","nodes":[{"id":0,"parent":-1,"cell":"BUF_X8","x":0,"y":0,"domain":"a\"]}{[\\"},` +
+		`{"id":1,"parent":0,"cell":"BUF_X8","x":5,"y":0,"sink_cap":4,"domain":"}}]]\"\u0022"}]}`
+)
+
+// plainEnvelopes are request bodies as clients write them — every field,
+// either key order, nulls, any JSON whitespace, strings holding quotes,
+// brackets and escapes — which the one-pass reader must answer itself.
+var plainEnvelopes = []string{
+	`{"tree":` + envelopeTree + `}`,
+	`{"tree":` + quotedTree + `,"config":{"samples":16}}`,
+	`{"config":{"kappa":20,"samples":158,"epsilon":0.01},"tree":` + envelopeTree + `}`,
+	`{"tree":` + envelopeTree + `,"config":{"kappa":12,"algorithm":"fast","enableAdi":true},"modes":[{"name":"lo","supplies":{"core":0.9}},{"name":"hi\"]","supplies":{"core":1.1}}],` +
+		`"priority":"high","timeoutMs":1500,"noCache":true,"baseJobId":"j-000001","trace":true}`,
+	`{"tree":` + envelopeTree + `,"yield":{"samples":64,"candidates":2,"epsilon":0,"seed":-3}}`,
+	`{"tree":` + envelopeTree + `,"yield":{"samples":64,"epsilon":null}}`,
+	`{"tree":` + envelopeTree + `,"config":null,"modes":null,"priority":null,"timeoutMs":null,"noCache":null,"baseJobId":null,"trace":null,"yield":null}`,
+	"\r\n\t {\r\"tree\"\t:\n" + envelopeTree + "\r,\t\"config\" : {\"samples\":16}\n}\r\n\t ",
+	`{"tree":` + envelopeTree + `,"timeoutMs":-0}`,
+}
+
+// TestReadEnvelopeAnswersPlainBodies: the one-pass reader answers the
+// bodies clients send, or the service pays the Decoder's copies on them.
+func TestReadEnvelopeAnswersPlainBodies(t *testing.T) {
+	for i, body := range plainEnvelopes {
+		if _, _, ok := readEnvelope([]byte(body)); !ok {
+			t.Errorf("body %d %.80q: the one-pass reader declined it", i, body)
+		}
+	}
+}
+
+// FuzzRequestEnvelope holds the one-pass envelope reader to the Decoder
+// path it stands in for. A body the reader accepts, decodeEnvelope
+// accepts too, into the same wireRequest; and decodeOptimizeRequest's
+// answer for any body — the request, key, config, modes, priority,
+// timeout, flags, base job, yield params and tree bytes, or the status,
+// code and message of its refusal — is the one decodeEnvelope gives.
+func FuzzRequestEnvelope(f *testing.F) {
+	tree := envelopeTree
+	bodies := []string{
+		// Keys encoding/json matches case-insensitively, and repeated keys
+		// it merges: the reader declines them all.
+		`{"Tree":` + tree + `}`,
+		`{"tree":` + tree + `,"TREE":{}}`,
+		`{"tree":{},"tree":` + tree + `}`,
+		`{"tree":` + tree + `,"config":{"samples":16},"config":{"kappa":15}}`,
+		`{"tree":` + tree + `,"Config":{"Samples":16}}`,
+		`{"tr\u0065e":` + tree + `}`,
+		// Unknown fields, at the top level and nested.
+		`{"tree":` + tree + `,"unknown":1}`,
+		`{"tree":` + tree + `,"config":{"samplez":16}}`,
+		`{"tree":` + tree + `,"yield":{"sigma":0.1,"bogus":true}}`,
+		`{"tree":` + tree + `,"modes":[{"name":"m","supplies":{"core":1},"extra":0}]}`,
+		// A null tree, and whitespace JSON does not allow.
+		`{"tree":null}`,
+		"{\"tree\":" + tree + "\f}",
+		"{\"tree\":" + tree + "\u00a0}",
+		// Not a request object.
+		"\ufeff{\"tree\":" + tree + "}",
+		`{}`, ``, ` `, `null`, `[]`, `"tree"`, `17`, `{"tree"}`, `{"tree":}`, `{"tree":` + tree + `,}`, `{"tree":` + tree,
+		// Trailing data.
+		`{"tree":` + tree + `}}`,
+		`{"tree":` + tree + `}]`,
+		`{"tree":` + tree + `}}}]`,
+		`{"tree":` + tree + `} x`,
+		`{"tree":` + tree + `}{}`,
+		`{"tree":` + tree + `}null`,
+		// Numbers encoding/json refuses for an int64, and ones it takes.
+		`{"tree":` + tree + `,"timeoutMs":1e3}`,
+		`{"tree":` + tree + `,"timeoutMs":1.0}`,
+		`{"tree":` + tree + `,"timeoutMs":01}`,
+		`{"tree":` + tree + `,"timeoutMs":9223372036854775808}`,
+		`{"tree":` + tree + `,"timeoutMs":"5"}`,
+		// Values of the wrong kind, and values with bytes after them.
+		`{"tree":"` + strings.ReplaceAll(tree, `"`, `\"`) + `"}`,
+		`{"tree":[` + tree + `]}`,
+		`{"tree":` + tree + `,"noCache":1}`,
+		`{"tree":` + tree + `,"trace":truex}`,
+		`{"tree":` + tree + `,"config":{"samples":16}x}`,
+		`{"tree":` + tree + `,"config":nullx}`,
+		`{"tree":` + tree + ` x,"config":{}}`,
+		`{"tree":` + tree + `,"priority":"low"x}`,
+		`{"tree":{"format":"wavemin-clocktree-v1","nodes":[{"id":0,"parent":-1,"cell":"BUF_X8","x":0,"y":0}]]}`,
+		`{"tree":{"format":"wavemin-clocktree-v1","nodes":[{"id":0,"parent":-1,"cell":"BUF_X8","x":0,"y":0,"id":0}]}}`,
+		`{"tree":{"format":"wavemin-clocktree-v1","nodes":[{"id":0,"parent":-1,"cell":"BUF_X8","x":0,"y":0}]},"priority":"\ud800"}`,
+	}
+	for _, body := range slices.Concat(plainEnvelopes, bodies, malformedRequests) {
+		f.Add([]byte(body))
+	}
+
+	opts := Options{}.withDefaults()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		wantWire, wantTree, envErr := decodeEnvelope(body)
+		want, wantErr := (*optimizeRequest)(nil), envErr
+		if envErr == nil {
+			want, wantErr = newOptimizeRequest(&wantWire, wantTree, opts)
+		}
+		if wire, _, ok := readEnvelope(body); ok {
+			if envErr != nil {
+				t.Fatalf("the reader accepts a body decodeEnvelope refuses: %s", envErr.message)
+			}
+			if !reflect.DeepEqual(wire, wantWire) {
+				t.Fatalf("the reader decoded\n%+v\nthe Decoder\n%+v", wire, wantWire)
+			}
+		}
+		got, gotErr := decodeOptimizeRequest(body, opts)
+		if !reflect.DeepEqual(gotErr, wantErr) {
+			t.Fatalf("decodeOptimizeRequest refused with %+v, the Decoder path with %+v", gotErr, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("decodeOptimizeRequest gave\n%+v\nthe Decoder path\n%+v", got, want)
 		}
 	})
 }

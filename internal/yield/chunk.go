@@ -43,8 +43,8 @@ type ChunkSpec struct {
 
 // Validate bounds a chunk spec: specs normally come from a trusted
 // coordinator, but the executor is reachable through the open lease
-// protocol, so it re-checks before burning CPU. σ and the correlation get
-// Params.Validate's bounds.
+// protocol, so it re-checks before burning CPU. σ, the correlation, κ and
+// the peak cap get Params.Validate's bounds.
 func (c *ChunkSpec) Validate() error {
 	switch {
 	case len(c.Tree) == 0:
@@ -59,9 +59,9 @@ func (c *ChunkSpec) Validate() error {
 		return fmt.Errorf("yield: chunk sigma %g out of range", c.Sigma)
 	case math.IsNaN(c.Correlation) || math.IsInf(c.Correlation, 0) || c.Correlation < 0 || c.Correlation > 1:
 		return fmt.Errorf("yield: chunk correlation %g out of range", c.Correlation)
-	case math.IsNaN(c.Kappa) || c.Kappa <= 0:
+	case math.IsNaN(c.Kappa) || math.IsInf(c.Kappa, 0) || c.Kappa <= 0 || c.Kappa > 1e9:
 		return fmt.Errorf("yield: chunk kappa %g out of range", c.Kappa)
-	case math.IsNaN(c.PeakCap) || c.PeakCap < 0:
+	case math.IsNaN(c.PeakCap) || math.IsInf(c.PeakCap, 0) || c.PeakCap < 0 || c.PeakCap > 1e12:
 		return fmt.Errorf("yield: chunk peakCap %g out of range", c.PeakCap)
 	}
 	if c.Mode != nil {

@@ -104,8 +104,8 @@ func TestEvaluateChunkHonorsPeakCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A cap below every observed peak zeroes OK; an impossible-to-hit cap
-	// reproduces the uncapped count.
+	// A cap below every observed peak zeroes OK; the largest valid cap,
+	// far above any peak, reproduces the uncapped count.
 	tight := *base
 	tight.PeakCap = 1e-9
 	st, err := EvaluateChunk(context.Background(), parsed, &tight)
@@ -119,7 +119,7 @@ func TestEvaluateChunkHonorsPeakCap(t *testing.T) {
 		t.Fatal("peak cap changed skew statistics")
 	}
 	loose := *base
-	loose.PeakCap = math.MaxFloat64 / 2
+	loose.PeakCap = 1e12
 	st, err = EvaluateChunk(context.Background(), parsed, &loose)
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +157,12 @@ func TestChunkSpecValidateRejectsHostileSpecs(t *testing.T) {
 		func(c *ChunkSpec) { c.Correlation = 7 },
 		func(c *ChunkSpec) { c.Kappa = 0 },
 		func(c *ChunkSpec) { c.Kappa = math.NaN() },
+		func(c *ChunkSpec) { c.Kappa = math.Inf(1) },
+		func(c *ChunkSpec) { c.Kappa = 1e300 },
+		func(c *ChunkSpec) { c.Kappa = 2e9 },
 		func(c *ChunkSpec) { c.PeakCap = -1 },
+		func(c *ChunkSpec) { c.PeakCap = math.Inf(1) },
+		func(c *ChunkSpec) { c.PeakCap = 2e12 },
 	}
 	for i, mut := range cases {
 		c := good()
