@@ -84,8 +84,8 @@ cover:
 		-floor wavemin/internal/castore=70 \
 		-floor wavemin/internal/shard=70 \
 		-floor wavemin/internal/yield=70 \
-		-filefloor wavemin/internal/server/shardroute.go=70 \
-		-filefloor wavemin/internal/server/gossip.go=70
+		-filefloor wavemin/internal/server/shardroute.go=90 \
+		-filefloor wavemin/internal/server/gossip.go=85
 	@rm -f cover.out
 
 # End-to-end: the wavemind service suite (full HTTP stack, queue,

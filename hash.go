@@ -16,8 +16,9 @@ import (
 // of any section changes, so stale cache entries from an older encoding
 // can never alias a new request, and whenever the same request's Result
 // bytes change, so an older evaluator's results are never replayed (v2:
-// peaks from PeakCurrent's slope-event sweep).
-const cacheKeyFormat = "wavemin-cachekey-v2"
+// peaks from PeakCurrent's slope-event sweep; v3: a negative coordinate's
+// zone tile rounds down, where it used to share the tile at the origin).
+const cacheKeyFormat = "wavemin-cachekey-v3"
 
 // CacheKey returns the content hash of the optimization problem "this
 // design's tree, in these modes, under this configuration" in canonical

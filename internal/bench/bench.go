@@ -202,7 +202,8 @@ func padRepeaters(tree *clocktree.Tree, lib *cell.Library, target int) {
 }
 
 // AssignDomains partitions the die into a numDomains-cell grid of voltage
-// islands and assigns every tree node to the island containing it. Returns
+// islands and assigns every tree node to the island containing it, or to
+// the nearest one for a node placed outside the die. Returns
 // the domain names. Used by the multi-mode experiments (§VII-E: "four to
 // ten power domains").
 func AssignDomains(tree *clocktree.Tree, dieW, dieH float64, numDomains int) []string {
@@ -213,19 +214,10 @@ func AssignDomains(tree *clocktree.Tree, dieW, dieH float64, numDomains int) []s
 		names = append(names, fmt.Sprintf("pd%d", i))
 	}
 	tree.Walk(func(n *clocktree.Node) {
-		cx := int(n.X / (dieW/float64(cols) + 1e-9))
-		cy := int(n.Y / (dieH/float64(rows) + 1e-9))
-		if cx >= cols {
-			cx = cols - 1
-		}
-		if cy >= rows {
-			cy = rows - 1
-		}
-		idx := cy*cols + cx
-		if idx >= numDomains {
-			idx = numDomains - 1
-		}
-		n.Domain = names[idx]
+		// A node outside the die joins the island at the nearest edge.
+		cx := min(max(int(n.X/(dieW/float64(cols)+1e-9)), 0), cols-1)
+		cy := min(max(int(n.Y/(dieH/float64(rows)+1e-9)), 0), rows-1)
+		n.Domain = names[min(cy*cols+cx, numDomains-1)]
 	})
 	return names
 }

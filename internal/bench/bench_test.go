@@ -141,6 +141,37 @@ func TestAssignDomains(t *testing.T) {
 	}
 }
 
+// TestAssignDomainsOutsideDie places a design left of the die, as a
+// loaded tree with negative coordinates can be: every node joins the
+// island of its row at the die's left edge instead of indexing a column
+// that does not exist.
+func TestAssignDomainsOutsideDie(t *testing.T) {
+	lib := cell.DefaultLibrary()
+	s, _ := SpecByName("s13207")
+	tree, err := s.Synthesize(lib, cts.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	AssignDomains(tree, s.DieW, s.DieH, 4)
+	want := make(map[clocktree.NodeID]string)
+	tree.Walk(func(n *clocktree.Node) {
+		// 4 islands are 2×2: the left column holds pd0 below pd2.
+		want[n.ID] = map[string]string{"pd0": "pd0", "pd1": "pd0", "pd2": "pd2", "pd3": "pd2"}[n.Domain]
+		n.X -= 3000
+	})
+	AssignDomains(tree, s.DieW, s.DieH, 4)
+	seen := make(map[string]bool)
+	tree.Walk(func(n *clocktree.Node) {
+		if n.Domain != want[n.ID] {
+			t.Fatalf("node %d at x=%g: domain %q, want %q", n.ID, n.X, n.Domain, want[n.ID])
+		}
+		seen[n.Domain] = true
+	})
+	if len(seen) != 2 {
+		t.Fatalf("islands used: %v, want both of the left column", seen)
+	}
+}
+
 func TestModes(t *testing.T) {
 	s, _ := SpecByName("s13207")
 	domains := []string{"pd0", "pd1", "pd2", "pd3"}

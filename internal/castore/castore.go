@@ -368,12 +368,6 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// Abort is the crash-simulation close. The entry files are the only
-// record and hold nothing unflushed, so it is the same as Close.
-func (s *Store) Abort() {
-	_ = s.Close()
-}
-
 // --- entry framing --------------------------------------------------------
 
 func frameEntry(val []byte) []byte {

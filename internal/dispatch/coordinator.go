@@ -2,15 +2,14 @@ package dispatch
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"wavemin/internal/httpjson"
 	"wavemin/internal/jobq"
 )
 
@@ -63,8 +62,8 @@ func (o Options) withDefaults() Options {
 	if o.SweepInterval == 0 {
 		o.SweepInterval = o.LeaseTTL / 4
 	}
-	if o.MaxWireBytes == 0 {
-		o.MaxWireBytes = 64 << 20
+	if o.MaxWireBytes <= 0 {
+		o.MaxWireBytes = maxWireBytes
 	}
 	return o
 }
@@ -259,104 +258,49 @@ func (c *Coordinator) Register(mux *http.ServeMux) {
 // coordinator response they will read.
 const maxWireBytes = 64 << 20
 
-// decodeWire reads and decodes one protocol body into dst, returning a
-// structured 4xx error for every malformed input.
-func decodeWire(w http.ResponseWriter, r *http.Request, dst any, limit int64) *wireError {
-	if limit <= 0 {
-		limit = maxWireBytes
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return &wireError{status: http.StatusRequestEntityTooLarge, code: "too_large",
-				message: fmt.Sprintf("request body exceeds %d bytes", mbe.Limit)}
-		}
-		return &wireError{status: http.StatusBadRequest, code: "bad_request",
-			message: fmt.Sprintf("reading request body: %v", err)}
-	}
-	if err := json.Unmarshal(body, dst); err != nil {
-		return &wireError{status: http.StatusBadRequest, code: "bad_request",
-			message: fmt.Sprintf("request body: %v", err)}
-	}
-	return nil
-}
-
-// wireError is a structured protocol failure:
-// {"error":{"code":...,"message":...}} with the HTTP status attached.
-type wireError struct {
-	status  int
-	code    string
-	message string
-}
-
-func writeWireError(w http.ResponseWriter, e *wireError) {
-	writeWireJSON(w, e.status, map[string]any{
-		"error": map[string]any{"code": e.code, "message": e.message},
-	})
-}
-
-func writeWireJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 func staleLease(w http.ResponseWriter, c *Coordinator) {
 	c.met.staleRejected.Add(1)
-	writeWireError(w, &wireError{status: http.StatusConflict, code: "unknown_lease",
-		message: "lease is unknown, expired, or already resolved; the job is no longer yours"})
+	httpjson.WriteError(w, &httpjson.Error{Status: http.StatusConflict, Code: "unknown_lease",
+		Message: "lease is unknown, expired, or already resolved; the job is no longer yours"})
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
-	if werr := decodeWire(w, r, &req, c.opts.MaxWireBytes); werr != nil {
-		writeWireError(w, werr)
+	if werr := httpjson.DecodeBody(w, r, &req, c.opts.MaxWireBytes); werr != nil {
+		httpjson.WriteError(w, werr)
 		return
 	}
 	if req.WorkerID == "" {
-		writeWireError(w, &wireError{status: http.StatusBadRequest, code: "bad_request",
-			message: "missing required field \"workerId\""})
+		httpjson.WriteError(w, httpjson.BadRequest("missing required field \"workerId\""))
 		return
 	}
 	wait := time.Duration(req.WaitMs) * time.Millisecond
 	if wait < 0 {
-		writeWireError(w, &wireError{status: http.StatusBadRequest, code: "bad_request",
-			message: fmt.Sprintf("negative waitMs %d", req.WaitMs)})
+		httpjson.WriteError(w, httpjson.BadRequest("negative waitMs %d", req.WaitMs))
 		return
 	}
-	wait = min(wait, maxLeaseWait)
-
-	var lease *jobq.Lease
-	var err error
-	if wait == 0 {
-		var ok bool
-		lease, ok = c.q.Lease()
-		if !ok {
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
-	} else {
-		ctx, cancel := context.WithTimeout(r.Context(), wait)
-		defer cancel()
-		lease, err = c.q.LeaseWait(ctx)
-		switch {
-		case errors.Is(err, jobq.ErrDraining):
-			writeWireError(w, &wireError{status: http.StatusServiceUnavailable, code: "draining",
-				message: "coordinator is draining; no further work"})
-			return
-		case err != nil: // wait elapsed or caller went away
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
+	// One lease path: a zero wait is a context already past its deadline,
+	// under which LeaseWait grants a ready job and otherwise answers 204,
+	// draining or not, as a single non-blocking lease would.
+	ctx, cancel := context.WithTimeout(r.Context(), min(wait, maxLeaseWait))
+	defer cancel()
+	lease, err := c.q.LeaseWait(ctx)
+	switch {
+	case errors.Is(err, jobq.ErrDraining):
+		httpjson.WriteError(w, &httpjson.Error{Status: http.StatusServiceUnavailable, Code: "draining",
+			Message: "coordinator is draining; no further work"})
+		return
+	case err != nil: // wait elapsed or caller went away
+		w.WriteHeader(http.StatusNoContent)
+		return
 	}
 
 	spec, ok := lease.Payload.(*JobSpec)
 	if !ok {
 		// Only JobSpecs are ever queued; fail the job rather than strand it.
 		_ = c.q.Fail(lease.ID, fmt.Errorf("dispatch: unexpected payload %T", lease.Payload), false)
-		writeWireError(w, &wireError{status: http.StatusInternalServerError, code: "bad_payload",
-			message: "leased job carried a non-dispatch payload"})
+		httpjson.WriteError(w, &httpjson.Error{Status: http.StatusInternalServerError, Code: "bad_payload",
+			Message: "leased job carried a non-dispatch payload"})
 		return
 	}
 	c.met.leases.Add(1)
@@ -364,7 +308,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if d, ok := lease.Ctx.Deadline(); ok {
 		deadline = d
 	}
-	writeWireJSON(w, http.StatusOK, leaseResponse{
+	httpjson.Write(w, http.StatusOK, leaseResponse{
 		LeaseID:  lease.ID,
 		Attempt:  lease.Attempt,
 		TTLMs:    lease.TTL.Milliseconds(),
@@ -376,13 +320,12 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req heartbeatRequest
-	if werr := decodeWire(w, r, &req, c.opts.MaxWireBytes); werr != nil {
-		writeWireError(w, werr)
+	if werr := httpjson.DecodeBody(w, r, &req, c.opts.MaxWireBytes); werr != nil {
+		httpjson.WriteError(w, werr)
 		return
 	}
 	if req.LeaseID == "" {
-		writeWireError(w, &wireError{status: http.StatusBadRequest, code: "bad_request",
-			message: "missing required field \"leaseId\""})
+		httpjson.WriteError(w, httpjson.BadRequest("missing required field \"leaseId\""))
 		return
 	}
 	ttl, err := c.q.Heartbeat(req.LeaseID)
@@ -393,23 +336,22 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		// The job's own deadline passed: the lease is gone and the worker
 		// should abandon the solve.
-		writeWireError(w, &wireError{status: http.StatusConflict, code: "job_expired",
-			message: err.Error()})
+		httpjson.WriteError(w, &httpjson.Error{Status: http.StatusConflict, Code: "job_expired",
+			Message: err.Error()})
 		return
 	}
 	c.met.heartbeats.Add(1)
-	writeWireJSON(w, http.StatusOK, map[string]any{"ttlMs": ttl.Milliseconds()})
+	httpjson.Write(w, http.StatusOK, map[string]any{"ttlMs": ttl.Milliseconds()})
 }
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req completeRequest
-	if werr := decodeWire(w, r, &req, c.opts.MaxWireBytes); werr != nil {
-		writeWireError(w, werr)
+	if werr := httpjson.DecodeBody(w, r, &req, c.opts.MaxWireBytes); werr != nil {
+		httpjson.WriteError(w, werr)
 		return
 	}
 	if req.LeaseID == "" || req.Outcome == nil || len(req.Outcome.ResultJSON) == 0 {
-		writeWireError(w, &wireError{status: http.StatusBadRequest, code: "bad_request",
-			message: "completion requires \"leaseId\" and a non-empty \"outcome.resultJson\""})
+		httpjson.WriteError(w, httpjson.BadRequest("completion requires \"leaseId\" and a non-empty \"outcome.resultJson\""))
 		return
 	}
 	// Durable-before-ack: the result bytes must be on stable storage
@@ -419,8 +361,8 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	// re-runs — rather than acknowledging what cannot be kept.
 	if c.opts.PersistResult != nil && req.Key != "" && !req.Outcome.Degraded {
 		if err := c.opts.PersistResult(req.Key, req.Outcome.ResultJSON); err != nil {
-			writeWireError(w, &wireError{status: http.StatusServiceUnavailable, code: "persist_failed",
-				message: fmt.Sprintf("result could not be made durable: %v", err)})
+			httpjson.WriteError(w, &httpjson.Error{Status: http.StatusServiceUnavailable, Code: "persist_failed",
+				Message: fmt.Sprintf("result could not be made durable: %v", err)})
 			return
 		}
 	}
@@ -429,18 +371,17 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.met.completions.Add(1)
-	writeWireJSON(w, http.StatusOK, map[string]any{"ok": true})
+	httpjson.Write(w, http.StatusOK, map[string]any{"ok": true})
 }
 
 func (c *Coordinator) handleFail(w http.ResponseWriter, r *http.Request) {
 	var req failRequest
-	if werr := decodeWire(w, r, &req, c.opts.MaxWireBytes); werr != nil {
-		writeWireError(w, werr)
+	if werr := httpjson.DecodeBody(w, r, &req, c.opts.MaxWireBytes); werr != nil {
+		httpjson.WriteError(w, werr)
 		return
 	}
 	if req.LeaseID == "" {
-		writeWireError(w, &wireError{status: http.StatusBadRequest, code: "bad_request",
-			message: "missing required field \"leaseId\""})
+		httpjson.WriteError(w, httpjson.BadRequest("missing required field \"leaseId\""))
 		return
 	}
 	var cause error
@@ -454,5 +395,5 @@ func (c *Coordinator) handleFail(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.met.failures.Add(1)
-	writeWireJSON(w, http.StatusOK, map[string]any{"ok": true})
+	httpjson.Write(w, http.StatusOK, map[string]any{"ok": true})
 }

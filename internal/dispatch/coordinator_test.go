@@ -72,3 +72,70 @@ func TestRequeuesCountOnlyRequeuedJobs(t *testing.T) {
 		}
 	})
 }
+
+// TestLeaseWithoutWait pins a lease request with waitMs 0: it answers at
+// once, as one non-blocking lease — a ready job is granted, also while
+// the queue drains, and no ready job is a 204, also once the drained
+// queue is empty, where only a long poll reports 503 draining.
+func TestLeaseWithoutWait(t *testing.T) {
+	spec := testSpec(t, 8, 0, false)
+	tc := newTestCoord(t, 1, Options{LeaseTTL: time.Minute, SweepInterval: time.Hour})
+	lease := func(waitMs int64) (int, *leaseResponse) {
+		t.Helper()
+		b, _ := json.Marshal(leaseRequest{WorkerID: "w", WaitMs: waitMs})
+		start := time.Now()
+		status, rb := postRaw(t, tc.ts.URL, "/v1/dispatch/lease", b)
+		if waitMs == 0 && time.Since(start) > 5*time.Second {
+			t.Fatalf("waitMs 0 lease took %v", time.Since(start))
+		}
+		var lr leaseResponse
+		if status == http.StatusOK {
+			if err := json.Unmarshal(rb, &lr); err != nil || lr.Spec == nil || lr.Spec.Key != spec.Key {
+				t.Fatalf("lease response %s (%v), want the submitted spec", rb, err)
+			}
+		}
+		return status, &lr
+	}
+	complete := func(lr *leaseResponse) {
+		t.Helper()
+		b, _ := json.Marshal(completeRequest{WorkerID: "w", LeaseID: lr.LeaseID, Outcome: &Outcome{ResultJSON: []byte(`{}`)}})
+		if status, rb := postRaw(t, tc.ts.URL, "/v1/dispatch/complete", b); status != http.StatusOK {
+			t.Fatalf("complete: status %d: %s", status, rb)
+		}
+	}
+
+	if status, _ := lease(0); status != http.StatusNoContent {
+		t.Fatalf("empty queue: status %d, want 204", status)
+	}
+	tk := tc.submit(spec, time.Minute)
+	status, lr := lease(0)
+	if status != http.StatusOK {
+		t.Fatalf("ready job: status %d, want 200", status)
+	}
+	complete(lr)
+	if _, err := awaitTicket(t, tk, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	// A Drain that gives up at once leaves the queue draining with the
+	// job still outstanding.
+	tk = tc.submit(spec, time.Minute)
+	gaveUp, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := tc.q.Drain(gaveUp); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Drain with a job outstanding: %v, want context.Canceled", err)
+	}
+	if status, lr = lease(0); status != http.StatusOK {
+		t.Fatalf("ready job while draining: status %d, want 200", status)
+	}
+	complete(lr)
+	if _, err := awaitTicket(t, tk, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if status, _ := lease(0); status != http.StatusNoContent {
+		t.Fatalf("drained queue: status %d, want 204", status)
+	}
+	if status, _ := lease(50); status != http.StatusServiceUnavailable {
+		t.Fatalf("drained queue, long poll: status %d, want 503", status)
+	}
+}

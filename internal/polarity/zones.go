@@ -1,6 +1,7 @@
 package polarity
 
 import (
+	"math"
 	"sort"
 
 	"wavemin/internal/clocktree"
@@ -18,17 +19,19 @@ type Zone struct {
 // DefaultZoneSize is the paper's empirical grid pitch, µm.
 const DefaultZoneSize = 50.0
 
-// PartitionZones buckets the tree's nodes into size×size tiles. Every
-// leaf belongs to exactly one zone; internal nodes are attached to the
-// zone containing their placement (their switching noise forms the zone's
-// baseline, Observation 1). Zones are returned in deterministic key order.
+// PartitionZones buckets the tree's nodes into size×size tiles: tile
+// (i, j) spans [i·size, (i+1)·size) × [j·size, (j+1)·size), on either
+// side of the origin alike. Every leaf belongs to exactly one zone;
+// internal nodes are attached to the zone containing their placement
+// (their switching noise forms the zone's baseline, Observation 1).
+// Zones are returned in deterministic key order.
 func PartitionZones(t *clocktree.Tree, size float64) []Zone {
 	if size <= 0 {
 		size = DefaultZoneSize
 	}
 	byKey := make(map[[2]int]*Zone)
 	get := func(x, y float64) *Zone {
-		key := [2]int{int(x / size), int(y / size)}
+		key := [2]int{int(math.Floor(x / size)), int(math.Floor(y / size))}
 		z, ok := byKey[key]
 		if !ok {
 			z = &Zone{Key: key}

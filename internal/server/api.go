@@ -3,12 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
-	"net/http"
 	"slices"
 	"time"
 
 	"wavemin"
+	"wavemin/internal/httpjson"
 	"wavemin/internal/jobq"
 	"wavemin/internal/yield"
 )
@@ -93,21 +92,6 @@ type wireMode struct {
 	Supplies map[string]float64 `json:"supplies"`
 }
 
-// apiError is a structured request failure: it renders as
-// {"error":{"code":...,"message":...}} with the HTTP status attached.
-// A refusal the client should retry sets retryAfter (seconds), which
-// adds a Retry-After header and error.retryAfterSeconds.
-type apiError struct {
-	status     int
-	code       string
-	message    string
-	retryAfter int
-}
-
-func badRequest(format string, args ...any) *apiError {
-	return &apiError{status: http.StatusBadRequest, code: "bad_request", message: fmt.Sprintf(format, args...)}
-}
-
 // optimizeRequest is a fully validated, ready-to-queue optimization job:
 // the effective config, queueing parameters, and the canonical cache key.
 type optimizeRequest struct {
@@ -135,15 +119,15 @@ type optimizeRequest struct {
 }
 
 // decodeOptimizeRequest parses and validates one POST /v1/optimize body.
-// Every rejection is a structured 4xx apiError — malformed input must
+// Every rejection is a structured 4xx httpjson.Error — malformed input must
 // never surface as a 500 or a panic (FuzzOptimizeRequest pins this).
 // The envelope is read by readEnvelope when it can answer and by
 // decodeEnvelope when it cannot; everything after runs on whichever
 // wireRequest comes out.
-func decodeOptimizeRequest(body []byte, opts Options) (*optimizeRequest, *apiError) {
+func decodeOptimizeRequest(body []byte, opts Options) (*optimizeRequest, *httpjson.Error) {
 	wire, tree, ok := readEnvelope(body)
 	if !ok {
-		var apiErr *apiError
+		var apiErr *httpjson.Error
 		if wire, tree, apiErr = decodeEnvelope(body); apiErr != nil {
 			return nil, apiErr
 		}
@@ -155,22 +139,22 @@ func decodeOptimizeRequest(body []byte, opts Options) (*optimizeRequest, *apiErr
 // unknown fields refused, and reads its tree. It is the reference for
 // every body: its acceptance, its error text and its error order are the
 // service's.
-func decodeEnvelope(body []byte) (wireRequest, *wavemin.CanonicalTree, *apiError) {
+func decodeEnvelope(body []byte) (wireRequest, *wavemin.CanonicalTree, *httpjson.Error) {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	var wire wireRequest
 	if err := dec.Decode(&wire); err != nil {
-		return wire, nil, badRequest("request body: %v", err)
+		return wire, nil, httpjson.BadRequest("request body: %v", err)
 	}
 	if skipSpace(body, int(dec.InputOffset())) < len(body) {
-		return wire, nil, badRequest("request body: trailing data after the request object")
+		return wire, nil, httpjson.BadRequest("request body: trailing data after the request object")
 	}
 	if len(wire.Tree) == 0 {
-		return wire, nil, badRequest("missing required field %q", "tree")
+		return wire, nil, httpjson.BadRequest("missing required field %q", "tree")
 	}
 	tree, err := wavemin.ReadCanonicalTree(wire.Tree)
 	if err != nil {
-		return wire, nil, badRequest("tree: %v", err)
+		return wire, nil, httpjson.BadRequest("tree: %v", err)
 	}
 	return wire, tree, nil
 }
@@ -340,7 +324,7 @@ func stringEnd(b []byte, i int) int {
 
 // newOptimizeRequest validates a decoded envelope, whose tree already
 // passed ReadCanonicalTree, into a ready-to-queue job.
-func newOptimizeRequest(wire *wireRequest, tree *wavemin.CanonicalTree, opts Options) (*optimizeRequest, *apiError) {
+func newOptimizeRequest(wire *wireRequest, tree *wavemin.CanonicalTree, opts Options) (*optimizeRequest, *httpjson.Error) {
 	var cfg wavemin.Config
 	if wire.Config != nil {
 		cfg = wavemin.Config{
@@ -361,7 +345,7 @@ func newOptimizeRequest(wire *wireRequest, tree *wavemin.CanonicalTree, opts Opt
 		case "peakmin":
 			cfg.Algorithm = wavemin.PeakMin
 		default:
-			return nil, badRequest("config.algorithm: unknown algorithm %q (want wavemin, fast, or peakmin)", wire.Config.Algorithm)
+			return nil, httpjson.BadRequest("config.algorithm: unknown algorithm %q (want wavemin, fast, or peakmin)", wire.Config.Algorithm)
 		}
 	}
 	// One server-side policy knob overrides the wire config: a cap on the
@@ -372,19 +356,19 @@ func newOptimizeRequest(wire *wireRequest, tree *wavemin.CanonicalTree, opts Opt
 		cfg.Workers = opts.MaxSolverWorkers
 	}
 	if err := cfg.Validate(); err != nil {
-		return nil, badRequest("config: %v", err)
+		return nil, httpjson.BadRequest("config: %v", err)
 	}
 
 	var modes []wavemin.Mode
 	if len(wire.Modes) > 0 {
 		if len(wire.Modes) > maxModes {
-			return nil, badRequest("modes: %d modes exceeds the limit of %d", len(wire.Modes), maxModes)
+			return nil, httpjson.BadRequest("modes: %d modes exceeds the limit of %d", len(wire.Modes), maxModes)
 		}
 		seen := make(map[string]bool, len(wire.Modes))
 		modes = make([]wavemin.Mode, 0, len(wire.Modes))
 		for i, m := range wire.Modes {
 			if seen[m.Name] {
-				return nil, badRequest("modes[%d]: duplicate mode name %q", i, m.Name)
+				return nil, httpjson.BadRequest("modes[%d]: duplicate mode name %q", i, m.Name)
 			}
 			seen[m.Name] = true
 			modes = append(modes, wavemin.Mode{Name: m.Name, Supplies: m.Supplies})
@@ -393,15 +377,15 @@ func newOptimizeRequest(wire *wireRequest, tree *wavemin.CanonicalTree, opts Opt
 	key, err := tree.CacheKey(modes, cfg)
 	if err != nil {
 		// The config passed Validate above, so only the modes can fail.
-		return nil, badRequest("modes: %v", err)
+		return nil, httpjson.BadRequest("modes: %v", err)
 	}
 
 	pri, err := jobq.ParsePriority(wire.Priority)
 	if err != nil {
-		return nil, badRequest("priority: %v", err)
+		return nil, httpjson.BadRequest("priority: %v", err)
 	}
 	if wire.TimeoutMs < 0 {
-		return nil, badRequest("timeoutMs: negative timeout %d", wire.TimeoutMs)
+		return nil, httpjson.BadRequest("timeoutMs: negative timeout %d", wire.TimeoutMs)
 	}
 	// Clamped in milliseconds first: a huge timeoutMs must not wrap the
 	// Duration product to a deadline already past.
@@ -419,10 +403,10 @@ func newOptimizeRequest(wire *wireRequest, tree *wavemin.CanonicalTree, opts Opt
 	var yp *yield.Params
 	if wire.Yield != nil {
 		if wire.BaseJobID != "" {
-			return nil, badRequest("yield: incompatible with baseJobId (an ECO delta has no candidate ladder to race)")
+			return nil, httpjson.BadRequest("yield: incompatible with baseJobId (an ECO delta has no candidate ladder to race)")
 		}
 		if len(modes) > 1 {
-			return nil, badRequest("yield: at most one power mode is supported (got %d)", len(modes))
+			return nil, httpjson.BadRequest("yield: at most one power mode is supported (got %d)", len(modes))
 		}
 		p := yield.Params{
 			Sigma:       wire.Yield.Sigma,
@@ -449,10 +433,10 @@ func newOptimizeRequest(wire *wireRequest, tree *wavemin.CanonicalTree, opts Opt
 			p.Kappa = cfg.WithDefaults().Kappa
 		}
 		if opts.YieldMaxSamples > 0 && p.Samples > opts.YieldMaxSamples {
-			return nil, badRequest("yield: samples %d exceeds this server's cap of %d", p.Samples, opts.YieldMaxSamples)
+			return nil, httpjson.BadRequest("yield: samples %d exceeds this server's cap of %d", p.Samples, opts.YieldMaxSamples)
 		}
 		if err := p.Validate(); err != nil {
-			return nil, badRequest("%v", err)
+			return nil, httpjson.BadRequest("%v", err)
 		}
 		yp = &p
 		// The extended key replaces the base key wholesale: caching,

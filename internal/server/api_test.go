@@ -50,7 +50,7 @@ func TestDecodeOptimizeRequestAllocs(t *testing.T) {
 	opts := Options{}.withDefaults()
 	decode := func() {
 		if _, apiErr := decodeOptimizeRequest(body, opts); apiErr != nil {
-			t.Fatal(apiErr.message)
+			t.Fatal(apiErr.Message)
 		}
 	}
 	allocs := testing.AllocsPerRun(20, decode)
@@ -100,7 +100,7 @@ func BenchmarkDecodeOptimizeRequest(b *testing.B) {
 			b.SetBytes(int64(len(body)))
 			for i := 0; i < b.N; i++ {
 				if _, apiErr := decodeOptimizeRequest(body, opts); apiErr != nil {
-					b.Fatal(apiErr.message)
+					b.Fatal(apiErr.Message)
 				}
 			}
 		})

@@ -105,10 +105,10 @@ func FuzzOptimizeRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req, apiErr := decodeOptimizeRequest(body, opts)
 		if apiErr != nil {
-			if apiErr.status < 400 || apiErr.status > 499 {
-				t.Fatalf("decode error with status %d, want 4xx", apiErr.status)
+			if apiErr.Status < 400 || apiErr.Status > 499 {
+				t.Fatalf("decode error with status %d, want 4xx", apiErr.Status)
 			}
-			if apiErr.code == "" || apiErr.message == "" {
+			if apiErr.Code == "" || apiErr.Message == "" {
 				t.Fatalf("unstructured decode error: %+v", apiErr)
 			}
 			if req != nil {
@@ -251,7 +251,7 @@ func FuzzRequestEnvelope(f *testing.F) {
 		}
 		if wire, _, ok := readEnvelope(body); ok {
 			if envErr != nil {
-				t.Fatalf("the reader accepts a body decodeEnvelope refuses: %s", envErr.message)
+				t.Fatalf("the reader accepts a body decodeEnvelope refuses: %s", envErr.Message)
 			}
 			if !reflect.DeepEqual(wire, wantWire) {
 				t.Fatalf("the reader decoded\n%+v\nthe Decoder\n%+v", wire, wantWire)

@@ -34,9 +34,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
+	"wavemin/internal/httpjson"
 	"wavemin/internal/rescache"
 	"wavemin/internal/shard"
 )
@@ -183,20 +183,20 @@ func (s *Server) replicateResult(key string, val []byte) {
 func (s *Server) handleShardPut(t *rescache.Tiered) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if t == nil {
-			writeAPIError(w, &apiError{status: http.StatusBadRequest, code: "eco_disabled",
-				message: "this node has no zone cache (Options.Eco / wavemind -eco)"})
+			httpjson.WriteError(w, &httpjson.Error{Status: http.StatusBadRequest, Code: "eco_disabled",
+				Message: "this node has no zone cache (Options.Eco / wavemind -eco)"})
 			return
 		}
 		sh := s.sh
 		key := r.PathValue("key")
 		if !validCacheKey(key) {
-			writeAPIError(w, &apiError{status: http.StatusBadRequest, code: "bad_key",
-				message: "cache keys are 64-character lowercase-hex digests"})
+			httpjson.WriteError(w, &httpjson.Error{Status: http.StatusBadRequest, Code: "bad_key",
+				Message: "cache keys are 64-character lowercase-hex digests"})
 			return
 		}
-		val, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxPeerResponseBytes))
-		if err != nil {
-			writeAPIError(w, badRequest("reading pushed value: %v", err))
+		val, apiErr := httpjson.ReadBody(w, r, maxPeerResponseBytes)
+		if apiErr != nil {
+			httpjson.WriteError(w, apiErr)
 			return
 		}
 		from, _ := forwardedFrom(r)
@@ -206,7 +206,7 @@ func (s *Server) handleShardPut(t *rescache.Tiered) http.HandlerFunc {
 		}
 		owner, err := m.ShardOf(key)
 		if err != nil {
-			writeAPIError(w, badRequest("shard routing: %v", err))
+			httpjson.WriteError(w, httpjson.BadRequest("shard routing: %v", err))
 			return
 		}
 		switch {
@@ -218,8 +218,8 @@ func (s *Server) handleShardPut(t *rescache.Tiered) http.HandlerFunc {
 			sh.count(&sh.met.ReplicaStored, "replica_keys_stored")
 		default:
 			sh.count(&sh.met.PushRefused, "push_wrong_shard")
-			writeAPIError(w, &apiError{status: http.StatusMisdirectedRequest, code: "wrong_shard",
-				message: fmt.Sprintf("key belongs to shard %d; this node (shard %d) is neither its owner nor a replica", owner, sh.id)})
+			httpjson.WriteError(w, &httpjson.Error{Status: http.StatusMisdirectedRequest, Code: "wrong_shard",
+				Message: fmt.Sprintf("key belongs to shard %d; this node (shard %d) is neither its owner nor a replica", owner, sh.id)})
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
@@ -232,23 +232,23 @@ func (s *Server) handleShardPut(t *rescache.Tiered) http.HandlerFunc {
 // injection is a structured 4xx, never a changed map.
 func (s *Server) handleShardMapPost(w http.ResponseWriter, r *http.Request) {
 	sh := s.sh
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxShardMapBytes))
-	if err != nil {
-		writeAPIError(w, badRequest("reading request body: %v", err))
+	body, apiErr := httpjson.ReadBody(w, r, maxShardMapBytes)
+	if apiErr != nil {
+		httpjson.WriteError(w, apiErr)
 		return
 	}
 	var payload struct {
 		Map string `json:"map"`
 	}
 	if err := json.Unmarshal(body, &payload); err != nil || payload.Map == "" {
-		writeAPIError(w, badRequest(`want {"map": "v<ver>:<bits>:<shards>[:<assign>][:r<replicas>]"}`))
+		httpjson.WriteError(w, httpjson.BadRequest(`want {"map": "v<ver>:<bits>:<shards>[:<assign>][:r<replicas>]"}`))
 		return
 	}
 	cand, err := shard.Decode(payload.Map)
 	if err != nil {
 		sh.count(&sh.met.MapsRejected, "maps_rejected")
-		writeAPIError(w, &apiError{status: http.StatusBadRequest, code: "bad_map",
-			message: err.Error()})
+		httpjson.WriteError(w, &httpjson.Error{Status: http.StatusBadRequest, Code: "bad_map",
+			Message: err.Error()})
 		return
 	}
 	if err := s.adoptMap(cand, "operator"); err != nil {
@@ -256,10 +256,10 @@ func (s *Server) handleShardMapPost(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, shard.ErrStaleVersion) {
 			code = "map_stale"
 		}
-		writeAPIError(w, &apiError{status: http.StatusConflict, code: code, message: err.Error()})
+		httpjson.WriteError(w, &httpjson.Error{Status: http.StatusConflict, Code: code, Message: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"adopted": true, "mapVersion": cand.Version})
+	httpjson.Write(w, http.StatusOK, map[string]any{"adopted": true, "mapVersion": cand.Version})
 }
 
 // --- anti-entropy ----------------------------------------------------------

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -100,6 +101,14 @@ func checkRefusal(t *testing.T, what string, resp *http.Response, raw []byte, wa
 	}
 }
 
+// zeros reads as an endless run of zero bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
 // keyOwnedBy returns a request body whose cache key shard s owns in m.
 func keyOwnedBy(t *testing.T, m *shard.Map, s int) []byte {
 	t.Helper()
@@ -107,7 +116,7 @@ func keyOwnedBy(t *testing.T, m *shard.Map, s int) []byte {
 		body := marshalReq(t, map[string]any{"tree": smallTreeJSON(t, n), "config": fastConfig()})
 		req, apiErr := decodeOptimizeRequest(body, Options{}.withDefaults())
 		if apiErr != nil {
-			t.Fatal(apiErr.message)
+			t.Fatal(apiErr.Message)
 		}
 		if owner, err := m.ShardOf(req.key); err == nil && owner == s {
 			return body
@@ -221,6 +230,29 @@ func TestStructuredRefusalsPinned(t *testing.T) {
 		checkRefusal(t, "forward_backpressure", resp, raw, refusal{status: http.StatusServiceUnavailable,
 			retryAfter: "1", code: "forward_backpressure",
 			message: "too many forwards to peers in flight (bound 128); retry shortly"})
+	})
+
+	t.Run("TooLarge", func(t *testing.T) {
+		// Every body the service reads is bounded the same way: past the
+		// bound it is a 413, on the client API and between peers alike.
+		srv := newFleet(t, 2, Options{}).nodes[0].srv.Load()
+		for _, c := range []struct {
+			method, path string
+			limit        int64
+		}{
+			{"POST", "/v1/shard/map", maxShardMapBytes},
+			{"PUT", "/v1/shard/cache/" + strings.Repeat("a", 64), maxPeerResponseBytes},
+		} {
+			if raceEnabled && c.limit > maxShardMapBytes {
+				// The server buffers the whole bound before refusing, and
+				// the race detector shadows every byte of it.
+				continue
+			}
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest(c.method, c.path, io.LimitReader(zeros{}, c.limit+1)))
+			checkRefusal(t, c.method+" "+c.path, rec.Result(), rec.Body.Bytes(), refusal{status: http.StatusRequestEntityTooLarge,
+				code: "too_large", message: fmt.Sprintf("request body exceeds %d bytes", c.limit)})
+		}
 	})
 
 	t.Run("ShardUnavailable", func(t *testing.T) {

@@ -43,7 +43,6 @@ import (
 	"errors"
 	_ "expvar" // /debug/vars when Options.Debug mounts the default mux
 	"fmt"
-	"io"
 	"net/http"
 	_ "net/http/pprof" // /debug/pprof when Options.Debug mounts the default mux
 	"path/filepath"
@@ -56,6 +55,7 @@ import (
 	"wavemin"
 	"wavemin/internal/castore"
 	"wavemin/internal/dispatch"
+	"wavemin/internal/httpjson"
 	"wavemin/internal/jobq"
 	"wavemin/internal/obs"
 	"wavemin/internal/rescache"
@@ -388,7 +388,7 @@ func New(opts Options) (*Server, error) {
 			rescache.New(opts.ZoneCacheMaxBytes, 0),
 			castore.Options{MaxBytes: opts.ZoneStoreMaxBytes, Sync: syncWrites})
 		if err != nil {
-			s.closeStores(false)
+			s.closeStores()
 			return nil, fmt.Errorf("server: zone store: %w", err)
 		}
 	}
@@ -410,13 +410,13 @@ func New(opts Options) (*Server, error) {
 			BestEffort: opts.RecoverBestEffort,
 		}, replayer.Apply)
 		if err != nil {
-			s.closeStores(false)
+			s.closeStores()
 			return nil, fmt.Errorf("server: journal: %w", err)
 		}
 		recovered, err = replayer.Jobs()
 		if err != nil {
 			w.Abort()
-			s.closeStores(false)
+			s.closeStores()
 			return nil, fmt.Errorf("server: %w", err)
 		}
 		s.wal = w
@@ -475,7 +475,7 @@ func New(opts Options) (*Server, error) {
 	if s.wal != nil {
 		if err := s.restoreJobs(recovered, lastID); err != nil {
 			s.wal.Abort()
-			s.closeStores(false)
+			s.closeStores()
 			return nil, err
 		}
 		// Compact the replayed history into one checkpoint so the next
@@ -621,10 +621,10 @@ func (l *loop) halt() {
 }
 
 // Crash simulates a power failure for recovery tests: background
-// goroutines stop and the journal and store are abandoned without
-// flushing buffered state — disk is left exactly as kill -9 would leave
-// it. The server is unusable afterward; recover by calling New on the
-// same DataDir.
+// goroutines stop, the journal is abandoned without flushing buffered
+// records and the stores, which buffer nothing, are closed — disk is
+// left exactly as kill -9 would leave it. The server is unusable
+// afterward; recover by calling New on the same DataDir.
 func (s *Server) Crash() {
 	s.gossip.halt()
 	s.checkpoints.halt()
@@ -632,7 +632,7 @@ func (s *Server) Crash() {
 	if s.wal != nil {
 		s.wal.Abort()
 	}
-	s.closeStores(true)
+	s.closeStores()
 }
 
 // Recovery reports what startup replay found.
@@ -670,7 +670,7 @@ func (s *Server) Drain(ctx context.Context) error {
 			err = cerr
 		}
 	}
-	if cerr := s.closeStores(false); cerr != nil && err == nil {
+	if cerr := s.closeStores(); cerr != nil && err == nil {
 		err = cerr
 	}
 	return err
@@ -678,8 +678,7 @@ func (s *Server) Drain(ctx context.Context) error {
 
 // openTier builds one read-through tier — results or zone solutions —
 // as mem over a castore under dataDir/name, or mem alone when the server
-// has no DataDir. The store is returned too: closeStores closes or
-// abandons it.
+// has no DataDir. The store is returned too, for closeStores.
 func openTier(dataDir, name string, mem *rescache.Cache, o castore.Options) (*rescache.Tiered, *castore.Store, error) {
 	if dataDir == "" {
 		return rescache.NewTiered(mem, nil), nil, nil
@@ -691,17 +690,13 @@ func openTier(dataDir, name string, mem *rescache.Cache, o castore.Options) (*re
 	return rescache.NewTiered(mem, store), store, nil
 }
 
-// closeStores closes the durable tiers openTier opened — or, on the
-// crash path (abort), abandons them without flushing, leaving disk
-// exactly as a power failure would.
-func (s *Server) closeStores(abort bool) error {
+// closeStores closes the durable tiers openTier opened. The entry files
+// are a store's only record, so the crash path closes them the same way
+// and disk is left exactly as a power failure would leave it.
+func (s *Server) closeStores() error {
 	var err error
 	for _, st := range []*castore.Store{s.store, s.zoneStore} {
-		switch {
-		case st == nil:
-		case abort:
-			st.Abort()
-		default:
+		if st != nil {
 			if cerr := st.Close(); cerr != nil && err == nil {
 				err = cerr
 			}
@@ -745,20 +740,14 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.writeSubmitError(w, jobq.ErrDraining)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeAPIError(w, &apiError{status: http.StatusRequestEntityTooLarge, code: "too_large",
-				message: fmt.Sprintf("request body exceeds %d bytes", mbe.Limit)})
-			return
-		}
-		writeAPIError(w, badRequest("reading request body: %v", err))
+	body, apiErr := httpjson.ReadBody(w, r, maxRequestBytes)
+	if apiErr != nil {
+		httpjson.WriteError(w, apiErr)
 		return
 	}
 	req, apiErr := decodeOptimizeRequest(body, s.opts)
 	if apiErr != nil {
-		writeAPIError(w, apiErr)
+		httpjson.WriteError(w, apiErr)
 		return
 	}
 	if s.sh != nil && s.routeOptimize(w, r, req, body) {
@@ -768,7 +757,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if apiErr := s.attachEco(req); apiErr != nil {
-		writeAPIError(w, apiErr)
+		httpjson.WriteError(w, apiErr)
 		return
 	}
 	s.count(&s.met.Submitted, "server_jobs_submitted", 1)
@@ -785,6 +774,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	deadline := time.Now().Add(req.timeout)
 	jctx, cancel := context.WithDeadline(context.Background(), deadline)
 	j.cancel = cancel
+	var err error
 	if req.yield != nil {
 		err = s.submitYield(jctx, j, req)
 	} else {
@@ -796,7 +786,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.writeSubmitError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{
+	httpjson.Write(w, http.StatusAccepted, map[string]any{
 		"jobId": j.id, "status": StatusQueued, "cacheHit": false,
 	})
 }
@@ -812,7 +802,7 @@ func (s *Server) serveCacheHit(w http.ResponseWriter, req *optimizeRequest, blob
 	_ = json.Unmarshal(blob, &res) // own marshaling; best-effort decoration
 	j := s.addJob(req, true)
 	j.land(StatusDone, blob, res.AlgorithmUsed, false, "")
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpjson.Write(w, http.StatusOK, map[string]any{
 		"jobId": j.id, "status": StatusDone, "cacheHit": true,
 	})
 }
@@ -826,7 +816,7 @@ func (s *Server) serveCacheHit(w http.ResponseWriter, req *optimizeRequest, blob
 // 4xx — an unknown base is a 404, a base whose result cannot seed a delta
 // is a 409 — never a 5xx: a bad base reference is a client error, and a
 // missing seed is at worst a cold solve, not a failure.
-func (s *Server) attachEco(req *optimizeRequest) *apiError {
+func (s *Server) attachEco(req *optimizeRequest) *httpjson.Error {
 	if req.yield != nil {
 		// Yield candidate solves never record or replay zones: the
 		// candidate ladder perturbs zoning knobs, so zone keys would not
@@ -836,8 +826,8 @@ func (s *Server) attachEco(req *optimizeRequest) *apiError {
 	}
 	if req.baseJobID != "" {
 		if s.zones == nil {
-			return &apiError{status: http.StatusBadRequest, code: "eco_disabled",
-				message: "baseJobId requires the server's ECO mode (Options.Eco / wavemind -eco)"}
+			return &httpjson.Error{Status: http.StatusBadRequest, Code: "eco_disabled",
+				Message: "baseJobId requires the server's ECO mode (Options.Eco / wavemind -eco)"}
 		}
 		seeds, apiErr := s.resolveBase(req.baseJobID)
 		if apiErr != nil {
@@ -854,7 +844,7 @@ func (s *Server) attachEco(req *optimizeRequest) *apiError {
 
 // resolveBase turns a base job reference into the seed map a delta run
 // starts from.
-func (s *Server) resolveBase(id string) (map[string][]byte, *apiError) {
+func (s *Server) resolveBase(id string) (map[string][]byte, *httpjson.Error) {
 	j := s.lookup(id)
 	if j == nil {
 		// The registry forgets finished jobs at restart and under
@@ -867,15 +857,15 @@ func (s *Server) resolveBase(id string) (map[string][]byte, *apiError) {
 				return s.fetchZones(keys), nil
 			}
 		}
-		return nil, &apiError{status: http.StatusNotFound, code: "unknown_base",
-			message: fmt.Sprintf("base job %q: no such job (unknown, evicted, or never completed cleanly)", id)}
+		return nil, &httpjson.Error{Status: http.StatusNotFound, Code: "unknown_base",
+			Message: fmt.Sprintf("base job %q: no such job (unknown, evicted, or never completed cleanly)", id)}
 	}
 	j.mu.Lock()
 	status, degraded, keys := j.status, j.degraded, j.zoneKeys
 	j.mu.Unlock()
-	reject := func(msg string) (map[string][]byte, *apiError) {
-		return nil, &apiError{status: http.StatusConflict, code: "base_not_reusable",
-			message: fmt.Sprintf("base job %q: %s", id, msg)}
+	reject := func(msg string) (map[string][]byte, *httpjson.Error) {
+		return nil, &httpjson.Error{Status: http.StatusConflict, Code: "base_not_reusable",
+			Message: fmt.Sprintf("base job %q: %s", id, msg)}
 	}
 	switch {
 	case status != StatusDone:
@@ -943,14 +933,14 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, jobq.ErrFull):
 		s.count(&s.met.RejectedFull, "server_rejected_full", 1)
-		writeAPIError(w, &apiError{status: http.StatusTooManyRequests, code: "queue_full",
-			message: "job queue at capacity; retry later", retryAfter: int(s.q.RetryAfter().Seconds())})
+		httpjson.WriteError(w, &httpjson.Error{Status: http.StatusTooManyRequests, Code: "queue_full",
+			Message: "job queue at capacity; retry later", RetryAfter: int(s.q.RetryAfter().Seconds())})
 	case errors.Is(err, jobq.ErrDraining):
 		s.count(&s.met.RejectedDraining, "server_rejected_draining", 1)
-		writeAPIError(w, &apiError{status: http.StatusServiceUnavailable, code: "draining",
-			message: "server is draining; not accepting new jobs"})
+		httpjson.WriteError(w, &httpjson.Error{Status: http.StatusServiceUnavailable, Code: "draining",
+			Message: "server is draining; not accepting new jobs"})
 	default:
-		writeAPIError(w, badRequest("submit: %v", err))
+		httpjson.WriteError(w, httpjson.BadRequest("submit: %v", err))
 	}
 }
 
@@ -1193,20 +1183,20 @@ func (s *Server) jobFor(w http.ResponseWriter, r *http.Request) *job {
 	}
 	j := s.lookup(id)
 	if j == nil {
-		writeAPIError(w, &apiError{status: http.StatusNotFound, code: "unknown_job", message: "no such job"})
+		httpjson.WriteError(w, &httpjson.Error{Status: http.StatusNotFound, Code: "unknown_job", Message: "no such job"})
 	}
 	return j
 }
 
 // notFinished refuses a result or trace read of a job still in status.
-func notFinished(status string) *apiError {
-	return &apiError{status: http.StatusConflict, code: "not_finished",
-		message: "job is " + status + "; poll GET /v1/jobs/{id}"}
+func notFinished(status string) *httpjson.Error {
+	return &httpjson.Error{Status: http.StatusConflict, Code: "not_finished",
+		Message: "job is " + status + "; poll GET /v1/jobs/{id}"}
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	if j := s.jobFor(w, r); j != nil {
-		writeJSON(w, http.StatusOK, j.view())
+		httpjson.Write(w, http.StatusOK, j.view())
 	}
 }
 
@@ -1248,15 +1238,15 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	j.mu.Unlock()
 	switch status {
 	case StatusDone:
-		writeJSON(w, http.StatusOK, map[string]any{
+		httpjson.Write(w, http.StatusOK, map[string]any{
 			"jobId":    j.id,
 			"cacheHit": cacheHit,
 			"result":   json.RawMessage(blob),
 		})
 	case StatusFailed, StatusExpired:
-		writeAPIError(w, &apiError{status: http.StatusConflict, code: "job_" + status, message: errMsg})
+		httpjson.WriteError(w, &httpjson.Error{Status: http.StatusConflict, Code: "job_" + status, Message: errMsg})
 	default:
-		writeAPIError(w, notFinished(status))
+		httpjson.WriteError(w, notFinished(status))
 	}
 }
 
@@ -1270,12 +1260,12 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	status := j.status
 	j.mu.Unlock()
 	if mem == nil {
-		writeAPIError(w, &apiError{status: http.StatusNotFound, code: "no_trace",
-			message: "job captured no trace (submit with \"trace\": true; cache hits run no solver and have none)"})
+		httpjson.WriteError(w, &httpjson.Error{Status: http.StatusNotFound, Code: "no_trace",
+			Message: "job captured no trace (submit with \"trace\": true; cache hits run no solver and have none)"})
 		return
 	}
 	if status == StatusQueued || status == StatusRunning {
-		writeAPIError(w, notFinished(status))
+		httpjson.WriteError(w, notFinished(status))
 		return
 	}
 	w.Header().Set("Content-Type", "application/jsonl")
@@ -1285,11 +1275,11 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if !s.ready.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "starting"})
+		httpjson.Write(w, http.StatusServiceUnavailable, map[string]any{"status": "starting"})
 		return
 	}
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining"})
+		httpjson.Write(w, http.StatusServiceUnavailable, map[string]any{"status": "draining"})
 		return
 	}
 	body := map[string]any{"status": "ok"}
@@ -1297,22 +1287,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		body["shardId"] = s.sh.id
 		body["shardMapVersion"] = s.sh.Map().Version
 	}
-	writeJSON(w, http.StatusOK, body)
-}
-
-// --- response helpers ----------------------------------------------------
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeAPIError(w http.ResponseWriter, e *apiError) {
-	body := map[string]any{"code": e.code, "message": e.message}
-	if e.retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(e.retryAfter))
-		body["retryAfterSeconds"] = e.retryAfter
-	}
-	writeJSON(w, e.status, map[string]any{"error": body})
+	httpjson.Write(w, http.StatusOK, body)
 }

@@ -644,7 +644,7 @@ func TestParallelServerCounters(t *testing.T) {
 	body := keyOwnedBy(t, fl.m, 1)
 	req, apiErr := decodeOptimizeRequest(body, Options{}.withDefaults())
 	if apiErr != nil {
-		t.Fatal(apiErr.message)
+		t.Fatal(apiErr.Message)
 	}
 	code, resp, _ := fl.post(1, body)
 	if code != http.StatusAccepted {

@@ -34,15 +34,17 @@ package server
 //     client — the retryable signal that a rebalance is propagating.
 //   - A dead owner degrades before it refuses: a cached read is served
 //     from one of the bucket's replicas (the map's read-only copies,
-//     kept warm by replication-on-write and bucket handoff) and only a
-//     key with no reachable copy gets the 503 shard_unavailable with
-//     Retry-After. Content addressing makes a replica-served answer
-//     byte-identical to the owner's, so failover is never-wrong, only
-//     possibly a miss.
+//     kept warm by replication-on-write and bucket handoff), found by the
+//     same owner-then-readers walk cache read-through takes (readHolders),
+//     and only a key with no reachable copy gets the 503
+//     shard_unavailable with Retry-After. Content addressing makes a
+//     replica-served answer byte-identical to the owner's, so failover is
+//     never-wrong, only possibly a miss.
 //
-// In-flight forwards are bounded (maxForwardInFlight); past the
-// bound, submissions are refused with 503 forward_backpressure so a
-// slow peer cannot pile unbounded goroutines onto its neighbors.
+// In-flight forwards are bounded (maxForwardInFlight), and a forward
+// holds its slot through a dead owner's replica reads; past the bound,
+// submissions are refused with 503 forward_backpressure so a slow peer
+// cannot pile unbounded goroutines onto its neighbors.
 
 import (
 	"bytes"
@@ -58,6 +60,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"wavemin/internal/httpjson"
 	"wavemin/internal/obs"
 	"wavemin/internal/rescache"
 	"wavemin/internal/shard"
@@ -88,8 +91,9 @@ const maxPeerResponseBytes = 64 << 20
 // sets — fits comfortably; anything bigger is hostile.
 const maxShardMapBytes = 1 << 20
 
-// maxForwardInFlight bounds concurrent forwards and cache read-throughs
-// to peers; past it, submissions get 503 forward_backpressure.
+// maxForwardInFlight bounds concurrent forwards, a dead owner's replica
+// reads included, and cache read-throughs to peers; past it, submissions
+// get 503 forward_backpressure.
 const maxForwardInFlight = 128
 
 // peerTimeout bounds each peer call — forwarded requests, cache
@@ -266,178 +270,142 @@ func (s *Server) agreeForwarded(w http.ResponseWriter, r *http.Request, from int
 		}
 	}
 	sh.count(&sh.met.MapVersionConf, "map_version_conflicts")
-	writeAPIError(w, &apiError{status: http.StatusConflict, code: "shard_map_version",
-		message: fmt.Sprintf("shard map version skew: sender has %q, this node has %d; retry after the rebalance settles", senderVer, sh.Map().Version)})
+	httpjson.WriteError(w, &httpjson.Error{Status: http.StatusConflict, Code: "shard_map_version",
+		Message: fmt.Sprintf("shard map version skew: sender has %q, this node has %d; retry after the rebalance settles", senderVer, sh.Map().Version)})
 	return nil
 }
 
-// writeWrongShard refuses a forwarded request this node does not own:
-// either a forged header or a misrouted hop, and refusing (never
-// re-forwarding) makes routing loops structurally impossible.
-func (s *Server) writeWrongShard(w http.ResponseWriter, owner int) {
-	sh := s.sh
-	sh.count(&sh.met.WrongShard, "wrong_shard_rejected")
-	writeAPIError(w, &apiError{status: http.StatusMisdirectedRequest, code: "wrong_shard",
-		message: fmt.Sprintf("key belongs to shard %d; this node is shard %d and forwarded requests are never re-forwarded", owner, sh.id)})
-}
-
 // routeOptimize decides where a decoded submission runs. It returns true
-// when it fully handled the request (forwarded it, failed it over to a
+// when it fully handled the request (forwarded it, answered it from a
 // replica, or refused it); false means this node owns the key and
 // admission continues locally.
 func (s *Server) routeOptimize(w http.ResponseWriter, r *http.Request, req *optimizeRequest, body []byte) bool {
+	return s.route(w, r, http.MethodPost, "/v1/optimize", body,
+		func(m *shard.Map) (int, error) { return m.ShardOf(req.key) }, req)
+}
+
+// routeJobRead decides where a GET /v1/jobs/... lands, by the shard ID
+// encoded in the job ID. Legacy (unsharded) IDs resolve locally,
+// forwarded or not. Returns true when the request was fully handled
+// here. Job state — unlike cached results — is owner-local and has no
+// replicas, so a dead owner here stays a 503.
+func (s *Server) routeJobRead(w http.ResponseWriter, r *http.Request, id string) bool {
+	sh := s.sh
+	owner, _, sharded, err := shard.DecodeJobID(id)
+	var bad string
+	switch {
+	case err != nil:
+		bad = fmt.Sprintf("job ID %q: %v", id, err)
+	case sharded && owner >= sh.Map().Shards:
+		bad = fmt.Sprintf("job ID %q references shard %d beyond the %d-shard map", id, owner, sh.Map().Shards)
+	}
+	if bad != "" {
+		sh.count(&sh.met.BadJobID, "bad_job_ids")
+		httpjson.WriteError(w, &httpjson.Error{Status: http.StatusBadRequest, Code: "bad_job_id", Message: bad})
+		return true
+	}
+	return sharded && s.route(w, r, http.MethodGet, r.URL.EscapedPath(), nil,
+		func(*shard.Map) (int, error) { return owner, nil }, nil)
+}
+
+// route is the routing contract for submissions and job reads alike;
+// ownerOf names the request's owner under a map. It returns true when it
+// answered the request and false when this node serves it.
+//
+// A forwarded request is served here only when the sender's map version
+// agrees with this node's (agreeForwarded) and ownerOf then names this
+// node; otherwise it is refused — 421 wrong_shard, never re-forwarded.
+//
+// Any other request is relayed a single hop to its owner, whose answer
+// is streamed back verbatim. A 409 from an owner whose map is newer is
+// answered by adopting that map and routing once more. An owner that
+// cannot be reached leaves a cacheable submission (req non-nil) to the
+// key's other holders (readHolders), and is otherwise the 503
+// shard_unavailable. One forward slot covers the whole relay, that
+// fallback included, so a dead owner's replica reads count against
+// maxForwardInFlight too.
+func (s *Server) route(w http.ResponseWriter, r *http.Request, method, path string, body []byte, ownerOf func(*shard.Map) (int, error), req *optimizeRequest) bool {
 	sh := s.sh
 	if from, fwd := forwardedFrom(r); fwd {
 		m := s.agreeForwarded(w, r, from)
 		if m == nil {
 			return true
 		}
-		owner, err := m.ShardOf(req.key)
-		if err != nil {
-			writeAPIError(w, badRequest("shard routing: %v", err))
-			return true
+		owner, err := ownerOf(m)
+		switch {
+		case err != nil:
+			httpjson.WriteError(w, httpjson.BadRequest("shard routing: %v", err))
+		case owner != sh.id:
+			sh.count(&sh.met.WrongShard, "wrong_shard_rejected")
+			httpjson.WriteError(w, &httpjson.Error{Status: http.StatusMisdirectedRequest, Code: "wrong_shard",
+				Message: fmt.Sprintf("key belongs to shard %d; this node is shard %d and forwarded requests are never re-forwarded", owner, sh.id)})
+		default:
+			if req != nil {
+				sh.count(&sh.met.ForwardsIn, "forwards_in")
+				req.forwardedFrom = from
+			}
+			return false
 		}
-		if owner != sh.id {
-			s.writeWrongShard(w, owner)
-			return true
-		}
-		sh.count(&sh.met.ForwardsIn, "forwards_in")
-		req.forwardedFrom = from
-		return false
+		return true
 	}
-	for attempt := 0; ; attempt++ {
-		m := sh.Map()
-		owner, err := m.ShardOf(req.key)
+	held := false
+	defer func() {
+		if held {
+			<-sh.slots
+		}
+	}()
+	for retry := true; ; retry = false {
+		owner, err := ownerOf(sh.Map())
 		if err != nil {
 			// CacheKey always yields a routable 64-hex key, so this is
 			// unreachable in practice — but routing must degrade to a 4xx.
-			writeAPIError(w, badRequest("shard routing: %v", err))
+			httpjson.WriteError(w, httpjson.BadRequest("shard routing: %v", err))
 			return true
 		}
 		if owner == sh.id {
 			return false
 		}
-		res, ferr := s.forwardToPeer(w, r, owner, http.MethodPost, "/v1/optimize", body, attempt == 0)
-		switch res {
-		case forwardRetry:
-			// A newer map was adopted mid-forward; recompute the owner
-			// (it may now be this node) and try once more.
-			continue
-		case forwardOwnerDown:
-			if s.serveFromReplica(w, req) {
+		if !held {
+			select {
+			case sh.slots <- struct{}{}:
+				held = true
+			default:
+				sh.count(&sh.met.Backpressure, "forward_backpressure")
+				httpjson.WriteError(w, &httpjson.Error{Status: http.StatusServiceUnavailable, Code: "forward_backpressure", RetryAfter: 1,
+					Message: fmt.Sprintf("too many forwards to peers in flight (bound %d); retry shortly", cap(sh.slots))})
 				return true
 			}
-			s.writeShardUnavailable(w, owner, ferr)
-			return true
-		default:
-			return true
 		}
-	}
-}
-
-// routeJobRead decides where a GET /v1/jobs/... lands, by the shard ID
-// encoded in the job ID. Legacy (unsharded) IDs resolve locally. Returns
-// true when the request was fully handled here. Job state — unlike
-// cached results — is owner-local and has no replicas, so a dead owner
-// here stays a 503.
-func (s *Server) routeJobRead(w http.ResponseWriter, r *http.Request, id string) bool {
-	sh := s.sh
-	owner, _, sharded, err := shard.DecodeJobID(id)
-	if err != nil {
-		sh.count(&sh.met.BadJobID, "bad_job_ids")
-		writeAPIError(w, &apiError{status: http.StatusBadRequest, code: "bad_job_id",
-			message: fmt.Sprintf("job ID %q: %v", id, err)})
-		return true
-	}
-	if sharded && owner >= sh.Map().Shards {
-		sh.count(&sh.met.BadJobID, "bad_job_ids")
-		writeAPIError(w, &apiError{status: http.StatusBadRequest, code: "bad_job_id",
-			message: fmt.Sprintf("job ID %q references shard %d beyond the %d-shard map", id, owner, sh.Map().Shards)})
-		return true
-	}
-	if from, fwd := forwardedFrom(r); fwd {
-		// Forwarded reads terminate here whatever the ID says — single hop.
-		if !sharded {
-			return false
-		}
-		if s.agreeForwarded(w, r, from) == nil {
+		sh.count(&sh.met.ForwardsOut, "forwards_out")
+		resp, respBody, err := sh.roundTrip(r.Context(), owner, method, path, body, sh.Map(), maxPeerResponseBytes)
+		if err != nil {
+			if req != nil && !req.noCache {
+				if blob, ok, _ := sh.readHolders(req.key, "/v1/shard/cache/", owner, s.cache, false); ok {
+					s.count(&s.met.Submitted, "server_jobs_submitted", 1)
+					s.serveCacheHit(w, req, blob)
+					return true
+				}
+			}
+			sh.count(&sh.met.Unavailable, "shard_unavailable")
+			httpjson.WriteError(w, &httpjson.Error{Status: http.StatusServiceUnavailable, Code: "shard_unavailable",
+				Message: fmt.Sprintf("shard %d owner unreachable: %v", owner, err), RetryAfter: shardUnavailableRetrySeconds})
 			return true
 		}
-		if owner != sh.id {
-			s.writeWrongShard(w, owner)
-			return true
-		}
-		return false
-	}
-	if !sharded || owner == sh.id {
-		return false
-	}
-	res, ferr := s.forwardToPeer(w, r, owner, http.MethodGet, r.URL.EscapedPath(), nil, true)
-	if res == forwardRetry {
-		// Job ownership is fixed by the ID, so the adopted map cannot
-		// change the target — but the retry now carries the agreed version.
-		res, ferr = s.forwardToPeer(w, r, owner, http.MethodGet, r.URL.EscapedPath(), nil, false)
-	}
-	if res == forwardOwnerDown {
-		s.writeShardUnavailable(w, owner, ferr)
-	}
-	return true
-}
-
-// forwardResult is what forwardToPeer did with the request.
-type forwardResult int
-
-const (
-	// forwardDone: a response was written (the owner's answer relayed,
-	// or a structured refusal) — the request is finished.
-	forwardDone forwardResult = iota
-	// forwardOwnerDown: the owner was unreachable and NOTHING was
-	// written; the caller chooses replica failover or 503.
-	forwardOwnerDown
-	// forwardRetry: the peer answered 409 with a newer map, this node
-	// adopted it, and nothing was written; the caller re-routes.
-	forwardRetry
-)
-
-// forwardToPeer relays a request to the owning shard and streams the
-// owner's response back verbatim (plus a served-by header). A 409 from
-// a peer that is AHEAD triggers fetch-and-adopt and (when allowRetry)
-// returns forwardRetry instead of relaying the refusal — the sender-side
-// half of live-map convergence. Backpressure is answered directly;
-// transport failures are returned unwritten so the caller can degrade
-// to a replica read.
-func (s *Server) forwardToPeer(w http.ResponseWriter, r *http.Request, owner int, method, path string, body []byte, allowRetry bool) (forwardResult, error) {
-	sh := s.sh
-	select {
-	case sh.slots <- struct{}{}:
-		defer func() { <-sh.slots }()
-	default:
-		sh.count(&sh.met.Backpressure, "forward_backpressure")
-		writeAPIError(w, &apiError{status: http.StatusServiceUnavailable, code: "forward_backpressure", retryAfter: 1,
-			message: fmt.Sprintf("too many forwards to peers in flight (bound %d); retry shortly", cap(sh.slots))})
-		return forwardDone, nil
-	}
-	sh.count(&sh.met.ForwardsOut, "forwards_out")
-	resp, respBody, err := sh.roundTrip(r.Context(), owner, method, path, body, sh.Map(), maxPeerResponseBytes)
-	if err != nil {
-		return forwardOwnerDown, err
-	}
-	if resp.StatusCode == http.StatusConflict && allowRetry {
-		if pv, perr := strconv.Atoi(resp.Header.Get(headerShardMapVersion)); perr == nil && pv > sh.Map().Version {
-			if s.fetchAndAdopt(owner) == nil {
-				return forwardRetry, nil
+		if retry && resp.StatusCode == http.StatusConflict {
+			if pv, perr := strconv.Atoi(resp.Header.Get(headerShardMapVersion)); perr == nil && pv > sh.Map().Version && s.fetchAndAdopt(owner) == nil {
+				continue
 			}
 		}
-	}
-	for _, h := range []string{"Content-Type", "Retry-After"} {
-		if v := resp.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
+		for _, h := range []string{"Content-Type", "Retry-After"} {
+			if v := resp.Header.Get(h); v != "" {
+				w.Header().Set(h, v)
+			}
 		}
+		w.Header().Set(headerServedByShard, strconv.Itoa(owner))
+		w.WriteHeader(resp.StatusCode)
+		_, _ = w.Write(respBody)
+		return true
 	}
-	w.Header().Set(headerServedByShard, strconv.Itoa(owner))
-	w.WriteHeader(resp.StatusCode)
-	_, _ = w.Write(respBody)
-	return forwardDone, nil
 }
 
 // roundTrip is every call this node makes to a peer: method path on
@@ -472,53 +440,6 @@ func (sh *shardState) roundTrip(ctx context.Context, target int, method, path st
 	return resp, respBody, err
 }
 
-// writeShardUnavailable is the routing contract's "owner is down and no
-// replica could answer" refusal: the key is temporarily unserviceable —
-// no other node may ADOPT it (only replicas may READ for it) — so the
-// client gets a retryable 503 with a hint.
-func (s *Server) writeShardUnavailable(w http.ResponseWriter, owner int, err error) {
-	sh := s.sh
-	sh.count(&sh.met.Unavailable, "shard_unavailable")
-	writeAPIError(w, &apiError{status: http.StatusServiceUnavailable, code: "shard_unavailable",
-		message: fmt.Sprintf("shard %d owner unreachable: %v", owner, err), retryAfter: shardUnavailableRetrySeconds})
-}
-
-// serveFromReplica answers a submission whose owner is down from a
-// replica copy of the cached result: the bucket's reader shards (this
-// node included) are consulted in map order, and a hit is served as a
-// normal cache-hit job minted locally. Content addressing makes the
-// copy byte-identical to the owner's answer, so the only thing degraded
-// about this path is that an uncached key still gets the 503. Returns
-// false when no replica could answer (caller falls through to 503).
-func (s *Server) serveFromReplica(w http.ResponseWriter, req *optimizeRequest) bool {
-	sh := s.sh
-	if req.noCache {
-		return false
-	}
-	m := sh.Map()
-	set, err := m.ReplicasOf(req.key)
-	if err != nil || len(set) == 0 {
-		return false
-	}
-	for _, t := range set {
-		var blob []byte
-		var ok bool
-		if t == sh.id {
-			blob, ok = s.cache.GetLocal(req.key)
-		} else {
-			blob, ok, _ = sh.fetchCached(t, "/v1/shard/cache/", req.key)
-		}
-		if !ok {
-			continue
-		}
-		sh.count(&sh.met.ReplicaHits, "replica_read_hits")
-		s.count(&s.met.Submitted, "server_jobs_submitted", 1)
-		s.serveCacheHit(w, req, blob)
-		return true
-	}
-	return false
-}
-
 // recordForwardHop emits the forwarded-hop span into a job's trace, so a
 // cross-node submission shows where it entered the fleet.
 func (s *Server) recordForwardHop(tr *obs.Trace, req *optimizeRequest) {
@@ -540,7 +461,7 @@ func (s *Server) recordForwardHop(tr *obs.Trace, req *optimizeRequest) {
 func (s *Server) handleShardMap(w http.ResponseWriter, r *http.Request) {
 	sh := s.sh
 	m := sh.Map()
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpjson.Write(w, http.StatusOK, map[string]any{
 		"shardId":    sh.id,
 		"mapVersion": m.Version,
 		"shards":     m.Shards,
@@ -575,8 +496,8 @@ func (s *Server) handleShardLookup(t *rescache.Tiered) http.HandlerFunc {
 		sh := s.sh
 		key := r.PathValue("key")
 		if !validCacheKey(key) {
-			writeAPIError(w, &apiError{status: http.StatusBadRequest, code: "bad_key",
-				message: "cache keys are 64-character lowercase-hex digests"})
+			httpjson.WriteError(w, &httpjson.Error{Status: http.StatusBadRequest, Code: "bad_key",
+				Message: "cache keys are 64-character lowercase-hex digests"})
 			return
 		}
 		var val []byte
@@ -586,8 +507,8 @@ func (s *Server) handleShardLookup(t *rescache.Tiered) http.HandlerFunc {
 		}
 		if !ok {
 			sh.count(&sh.met.PeerServeMisses, "peer_serve_misses")
-			writeAPIError(w, &apiError{status: http.StatusNotFound, code: "cache_miss",
-				message: "key not cached on this node"})
+			httpjson.WriteError(w, &httpjson.Error{Status: http.StatusNotFound, Code: "cache_miss",
+				Message: "key not cached on this node"})
 			return
 		}
 		sh.count(&sh.met.PeerServeHits, "peer_serve_hits")
@@ -619,20 +540,17 @@ func (sh *shardState) fetchCached(target int, path, key string) ([]byte, bool, e
 
 // --- peer cache tier -------------------------------------------------------
 
-// peerCacheTier implements rescache.PeerTier over the fleet: a local
-// miss asks the key's owning coordinator for its locally cached bytes,
-// and — when the owner cannot be consulted — falls back to the bucket's
-// replicas, so a dead owner degrades a read to its warm copies before
-// it degrades to a local re-solve. It is read-only by construction and
-// shares the forward slot bound, so cache read-through cannot outgrow
-// the same backpressure budget.
-type peerCacheTier struct {
-	sh   *shardState
-	path string // "/v1/shard/cache/" or "/v1/shard/zones/"
-}
-
-func (p *peerCacheTier) PeerGet(key string) ([]byte, bool, error) {
-	sh := p.sh
+// readHolders is the one walk over the nodes that may hold key, shared by
+// a submission whose owner is down and by cache read-through. It asks
+// them in one order — the key's owner, then the bucket's readers in map
+// order — under path. The owner's answer is authoritative: readers only
+// ever hold copies of what the owner had, so its miss ends the walk. A
+// reader's hit counts as a replica hit, and a reader that fails is passed
+// over. dead names an owner already found unreachable, which is not asked
+// again. This node reads its own tiers through local, or is skipped when
+// local is nil. A peer read needs a forward slot: with take the walk
+// claims one before its first, and otherwise the caller holds one.
+func (sh *shardState) readHolders(key, path string, dead int, local *rescache.Tiered, take bool) ([]byte, bool, error) {
 	m := sh.Map()
 	owner, err := m.ShardOf(key)
 	if err != nil {
@@ -640,33 +558,34 @@ func (p *peerCacheTier) PeerGet(key string) ([]byte, bool, error) {
 		// is no owner to ask, so it is an authoritative miss, not a fault.
 		return nil, false, nil
 	}
-	set, _ := m.ReplicasOf(key)
-	targets := make([]int, 0, 1+len(set))
-	if owner != sh.id {
-		targets = append(targets, owner)
-	}
-	for _, t := range set {
-		if t != sh.id && t != owner {
-			targets = append(targets, t)
-		}
-	}
-	if len(targets) == 0 {
-		// This node IS the authority (and any replicas are itself); its
-		// local tiers already missed.
-		return nil, false, nil
-	}
-	select {
-	case sh.slots <- struct{}{}:
-		defer func() { <-sh.slots }()
-	default:
-		return nil, false, fmt.Errorf("peer cache: forward slots saturated")
-	}
+	readers, _ := m.ReplicasOf(key)
 	var lastErr error
-	for _, t := range targets {
-		val, ok, err := sh.fetchCached(t, p.path, key)
-		if err != nil {
-			lastErr = err
+	for i := -1; i < len(readers); i++ {
+		t := owner
+		if i >= 0 {
+			t = readers[i]
+		}
+		var val []byte
+		var ok bool
+		switch {
+		case t == dead, t == sh.id && local == nil:
 			continue
+		case t == sh.id:
+			val, ok = local.GetLocal(key)
+		default:
+			if take {
+				take = false
+				select {
+				case sh.slots <- struct{}{}:
+					defer func() { <-sh.slots }()
+				default:
+					return nil, false, fmt.Errorf("peer cache: forward slots saturated")
+				}
+			}
+			if val, ok, err = sh.fetchCached(t, path, key); err != nil {
+				lastErr = err
+				continue
+			}
 		}
 		if ok {
 			if t != owner {
@@ -675,15 +594,25 @@ func (p *peerCacheTier) PeerGet(key string) ([]byte, bool, error) {
 			return val, true, nil
 		}
 		if t == owner {
-			// The owner answered: the miss is authoritative, and replicas
-			// only ever hold copies of what the owner had.
 			return nil, false, nil
 		}
 	}
-	if lastErr != nil {
-		return nil, false, lastErr
-	}
-	return nil, false, nil
+	return nil, false, lastErr
+}
+
+// peerCacheTier implements rescache.PeerTier over the fleet: a local
+// miss walks the key's other holders (readHolders) — its owner, then the
+// bucket's readers — so a dead owner degrades a read to its warm copies
+// before it degrades to a local re-solve. It is read-only by construction
+// and shares the forward slot bound, so cache read-through cannot outgrow
+// the same backpressure budget.
+type peerCacheTier struct {
+	sh   *shardState
+	path string // "/v1/shard/cache/" or "/v1/shard/zones/"
+}
+
+func (p *peerCacheTier) PeerGet(key string) ([]byte, bool, error) {
+	return p.sh.readHolders(key, p.path, -1, nil, true)
 }
 
 var _ rescache.PeerTier = (*peerCacheTier)(nil)

@@ -42,7 +42,7 @@ func yieldReference(t *testing.T, body []byte) json.RawMessage {
 	t.Helper()
 	req, apiErr := decodeOptimizeRequest(body, Options{}.withDefaults())
 	if apiErr != nil {
-		t.Fatalf("decode: %s", apiErr.message)
+		t.Fatalf("decode: %s", apiErr.Message)
 	}
 	ctx := context.Background()
 	cands, rejected, err := yield.GenerateCandidates(ctx, req.tree, req.cfg, req.modes, *req.yield)
@@ -250,7 +250,7 @@ func TestYieldRefusedAfterDrain(t *testing.T) {
 	}
 	req, apiErr := decodeOptimizeRequest(yieldReqBody(t), s.opts)
 	if apiErr != nil {
-		t.Fatalf("decode: %s", apiErr.message)
+		t.Fatalf("decode: %s", apiErr.Message)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

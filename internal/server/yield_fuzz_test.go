@@ -67,10 +67,10 @@ func FuzzYieldRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req, apiErr := decodeOptimizeRequest(body, opts)
 		if apiErr != nil {
-			if apiErr.status < 400 || apiErr.status > 499 {
-				t.Fatalf("decode error with status %d, want 4xx", apiErr.status)
+			if apiErr.Status < 400 || apiErr.Status > 499 {
+				t.Fatalf("decode error with status %d, want 4xx", apiErr.Status)
 			}
-			if apiErr.code == "" || apiErr.message == "" {
+			if apiErr.Code == "" || apiErr.Message == "" {
 				t.Fatalf("unstructured decode error: %+v", apiErr)
 			}
 			if req != nil {

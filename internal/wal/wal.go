@@ -80,7 +80,8 @@ const (
 	SyncAlways
 	// SyncNone never fsyncs on append (segment boundaries still sync).
 	// A crash can lose the OS-buffered tail of acknowledged records —
-	// for journals whose loss is acceptable, like a cache recency index.
+	// for journals whose recent loss the operator accepts (wavemind
+	// -fsync none).
 	SyncNone
 )
 
