@@ -164,10 +164,15 @@ test-flake:
 # accepted request keys as LoadTree + SetModes + CacheKey would, the
 # request path accepts, refuses and words errors as LoadTree does, the
 # one-pass envelope reader answers only as the Decoder path would, and
-# WriteJSON writes encoding/json's bytes), and the peak sweep's bucketed
+# WriteJSON writes encoding/json's bytes), the peak sweep's bucketed
 # event order (a permutation, sorted, equal to slices.SortFunc's on
-# events with repeated and extreme times). Seconds-long smoke for
-# `make check`; run with a larger -fuzztime when hunting.
+# events with repeated and extreme times), the feasible-interval sweep
+# (the legacy quadratic enumerator's intervals, lists and errors, and
+# its top-k pick, on arrival sets with ties inside the 1e-9 slack) and
+# the bounded hot-spot pick (the Sum-based pick's times on waves with
+# shared breakpoints and tied currents, inputs left unmodified).
+# Seconds-long smoke for `make check`; run with a larger -fuzztime when
+# hunting.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLeaseProtocol$$' -fuzztime 5s ./internal/dispatch
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 5s ./internal/wal
@@ -178,6 +183,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestEnvelope$$' -fuzztime 5s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 5s ./internal/clocktree
 	$(GO) test -run '^$$' -fuzz '^FuzzEventOrder$$' -fuzztime 5s ./internal/clocktree
+	$(GO) test -run '^$$' -fuzz '^FuzzFeasibleIntervals$$' -fuzztime 5s ./internal/polarity
+	$(GO) test -run '^$$' -fuzz '^FuzzHotSpots$$' -fuzztime 5s ./internal/waveform
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadTree$$' -fuzztime 5s .
 
 verify: test race

@@ -46,7 +46,10 @@ func multiModeDesign(t *testing.T) *Design {
 	if err != nil {
 		t.Fatal(err)
 	}
-	domains := d.PartitionVoltageIslands(4)
+	domains, err := d.PartitionVoltageIslands(4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := d.SetModes([]Mode{
 		{Name: "M1", Supplies: map[string]float64{domains[0]: 1.1, domains[1]: 1.1, domains[2]: 1.1, domains[3]: 1.1}},
 		{Name: "M2", Supplies: map[string]float64{domains[0]: 0.9, domains[1]: 1.1, domains[2]: 0.9, domains[3]: 1.1}},
@@ -291,15 +294,19 @@ func TestOptimizeExhaustedLadder(t *testing.T) {
 	}
 }
 
-// TestOptimizeTightBudgetS35932 is the acceptance scenario from the issue:
-// on s35932 (whose full ClkWaveMin run needs roughly 750ms here) a 300ms
-// budget must return within ~2× the budget with Result.Degraded set and a
-// valid tree — never hang, never panic.
+// TestOptimizeTightBudgetS35932: on s35932 a 300ms budget must return
+// within ~2× the budget with Result.Degraded set and a valid tree — never
+// hang, never panic. The ClkWaveMin rung gets at most half the budget,
+// and a 250ms stall at every MOSP entry overruns that slice however fast
+// the solver is; ClkWaveMin-f and ClkPeakMin have their own fault sites,
+// so the lower rungs run at full speed.
 func TestOptimizeTightBudgetS35932(t *testing.T) {
 	d, err := Benchmark("s35932")
 	if err != nil {
 		t.Fatal(err)
 	}
+	faultinject.Set(faultinject.SiteMospSolve, func() { time.Sleep(250 * time.Millisecond) })
+	t.Cleanup(func() { faultinject.Clear(faultinject.SiteMospSolve) })
 	const budget = 300 * time.Millisecond
 	start := time.Now()
 	res, err := d.Optimize(context.Background(), Config{Budget: budget})

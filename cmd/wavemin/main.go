@@ -136,7 +136,10 @@ func main() {
 		if !ok {
 			log.Fatalf("multi-mode requires a named benchmark, got %q", *benchName)
 		}
-		names := design.PartitionVoltageIslands(*domains)
+		names, err := design.PartitionVoltageIslands(*domains)
+		if err != nil {
+			log.Fatal(err)
+		}
 		if err := design.SetModes(spec.Modes(names, *numModes)); err != nil {
 			log.Fatal(err)
 		}

@@ -20,7 +20,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pd := design.PartitionVoltageIslands(4)
+	pd, err := design.PartitionVoltageIslands(4)
+	if err != nil {
+		log.Fatal(err)
+	}
 	modes := []wavemin.Mode{
 		{Name: "perf", Supplies: map[string]float64{pd[0]: 1.1, pd[1]: 1.1, pd[2]: 1.1, pd[3]: 1.1}},
 		{Name: "save1", Supplies: map[string]float64{pd[0]: 0.9, pd[1]: 1.1, pd[2]: 0.9, pd[3]: 1.1}},

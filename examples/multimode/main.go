@@ -24,7 +24,10 @@ func main() {
 	// Partition the die into four voltage islands and define three power
 	// modes: everything nominal, and two low-power modes that drop
 	// different island pairs to 0.9 V.
-	pd := design.PartitionVoltageIslands(4)
+	pd, err := design.PartitionVoltageIslands(4)
+	if err != nil {
+		log.Fatal(err)
+	}
 	modes := []wavemin.Mode{
 		{Name: "perf", Supplies: map[string]float64{pd[0]: 1.1, pd[1]: 1.1, pd[2]: 1.1, pd[3]: 1.1}},
 		{Name: "save1", Supplies: map[string]float64{pd[0]: 0.9, pd[1]: 0.9, pd[2]: 1.1, pd[3]: 1.1}},

@@ -62,7 +62,10 @@ func TestEndToEndMultiMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pd := d.PartitionVoltageIslands(8)
+	pd, err := d.PartitionVoltageIslands(8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	modes := make([]Mode, 3)
 	for i := range modes {
 		sup := make(map[string]float64, len(pd))

@@ -23,7 +23,11 @@ func TestWriteJSONMatchesEncodingJSONOnPaperCircuits(t *testing.T) {
 		}
 		matchesOracle(t, name, d.Tree)
 		spec, _ := bench.SpecByName(name)
-		if err := d.SetModes(spec.Modes(d.PartitionVoltageIslands(4), 3)); err != nil {
+		islands, err := d.PartitionVoltageIslands(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.SetModes(spec.Modes(islands, 3)); err != nil {
 			t.Fatal(err)
 		}
 		cfg := wavemin.Config{Kappa: 14, Samples: 16, Epsilon: 0.05, EnableADI: true, MaxIntersections: 4}

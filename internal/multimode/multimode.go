@@ -463,10 +463,11 @@ func (p *Problem) solveZone(
 	var sol mosp.Solution
 	var err error
 	if p.cfg.Fast {
-		sol, err = mosp.SolveFast(ctx, graph)
+		sol, err = mosp.SolveFast(ctx, &graph.Graph)
 	} else {
-		sol, err = mosp.Solve(ctx, graph, mosp.Options{Epsilon: p.cfg.Epsilon, MaxLabels: polarity.MaxLabels})
+		sol, err = mosp.Solve(ctx, &graph.Graph, mosp.Options{Epsilon: p.cfg.Epsilon, MaxLabels: polarity.MaxLabels})
 	}
+	graph.Release()
 	if err != nil {
 		return zoneResult{}, err
 	}

@@ -1,7 +1,12 @@
 package polarity
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
+
+	"wavemin/internal/clocktree"
 )
 
 // Interval is a feasible arrival-time window [Lo, Hi] with Hi−Lo = κ
@@ -31,6 +36,55 @@ func (iv *Interval) DegreeOfFreedom() int {
 // identical feasibility sets are deduplicated (they define the same
 // optimization instance).
 func FeasibleIntervals(cs *CandidateSet, kappa float64) ([]Interval, error) {
+	ws, err := feasibleWindows(cs, kappa)
+	if err != nil {
+		return nil, err
+	}
+	return buildIntervals(cs, ws), nil
+}
+
+// topIntervals returns the k feasible intervals of most freedom (all of
+// them when k is 0) in decreasing degree-of-freedom order, ties in anchor
+// order (Fig. 14: more freedom, less noise), and how many FeasibleIntervals
+// finds. Only the returned intervals get their feasible lists built.
+func topIntervals(cs *CandidateSet, kappa float64, k int) ([]Interval, int, error) {
+	ws, err := feasibleWindows(cs, kappa)
+	if err != nil {
+		return nil, 0, err
+	}
+	found := len(ws)
+	slices.SortStableFunc(ws, func(x, y window) int { return (y.b - y.a) - (x.b - x.a) })
+	if k > 0 && len(ws) > k {
+		ws = ws[:k]
+	}
+	return buildIntervals(cs, ws), found, nil
+}
+
+func buildIntervals(cs *CandidateSet, ws []window) []Interval {
+	leaves := cs.Leaves()
+	out := make([]Interval, len(ws))
+	for i, w := range ws {
+		out[i] = w.interval(cs, leaves)
+	}
+	return out
+}
+
+// window is one feasible window before its lists are built: the anchor's
+// bounds, and the range [a, b) of the AT-sorted candidates it holds, so
+// b−a is its degree of freedom.
+type window struct {
+	lo, hi float64
+	a, b   int
+}
+
+// feasibleWindows finds FeasibleIntervals' windows in one sweep. As the
+// anchor t rises, both ends of the membership test
+// AT ∈ [t−κ−1e-9, t+1e-9] move forward, so every window holds a
+// contiguous range of the candidates sorted by AT, and two pointers with
+// per-leaf counts decide feasibility in amortized O(1) per anchor. Equal
+// ranges are equal sets, and they come from consecutive anchors, so
+// comparing with the last kept window deduplicates.
+func feasibleWindows(cs *CandidateSet, kappa float64) ([]window, error) {
 	if kappa < 0 {
 		return nil, fmt.Errorf("polarity: negative skew bound %g", kappa)
 	}
@@ -38,45 +92,66 @@ func FeasibleIntervals(cs *CandidateSet, kappa float64) ([]Interval, error) {
 	if len(leaves) == 0 {
 		return nil, fmt.Errorf("polarity: no leaves")
 	}
-	var out []Interval
-	seen := make(map[string]bool)
-	// The signature is a fixed-width (leaf, candidate) pair stream in a
-	// reused buffer: same dedup semantics as the old "%d.%d," string at a
-	// fraction of the cost, and the feasible sets are only materialized
-	// for intervals that survive dedup.
-	var sig []byte
+	type member struct {
+		at   float64
+		leaf int
+	}
+	var sorted []member
+	for li, leaf := range leaves {
+		for _, c := range cs.ByLeaf[leaf] {
+			if !math.IsNaN(c.AT) { // a NaN arrival lies in no window
+				sorted = append(sorted, member{c.AT, li})
+			}
+		}
+	}
+	slices.SortFunc(sorted, func(x, y member) int { return cmp.Compare(x.at, y.at) })
+	count := make([]int, len(leaves))
+	covered, a, b := 0, 0, 0
+	var out []window
 	for _, t := range cs.ArrivalTimes() {
 		lo, hi := t-kappa, t
-		sig = sig[:0]
-		ok := true
-		for li, leaf := range leaves {
-			n := len(sig)
-			for ci, c := range cs.ByLeaf[leaf] {
-				if c.AT >= lo-1e-9 && c.AT <= hi+1e-9 {
-					sig = append(sig,
-						byte(li), byte(li>>8), byte(li>>16), byte(li>>24),
-						byte(ci), byte(ci>>8), byte(ci>>16), byte(ci>>24))
-				}
-			}
-			if len(sig) == n {
-				ok = false
-				break
+		from, to := lo-1e-9, hi+1e-9
+		if math.IsNaN(from) || math.IsNaN(to) {
+			continue // nothing compares inside a NaN bound
+		}
+		for ; b < len(sorted) && sorted[b].at <= to; b++ {
+			if count[sorted[b].leaf]++; count[sorted[b].leaf] == 1 {
+				covered++
 			}
 		}
-		if !ok || seen[string(sig)] {
+		for ; a < b && sorted[a].at < from; a++ {
+			if count[sorted[a].leaf]--; count[sorted[a].leaf] == 0 {
+				covered--
+			}
+		}
+		if covered < len(leaves) {
 			continue
 		}
-		seen[string(sig)] = true
-		feas := make([][]int, len(leaves))
-		for p := 0; p+8 <= len(sig); p += 8 {
-			li := int(sig[p]) | int(sig[p+1])<<8 | int(sig[p+2])<<16 | int(sig[p+3])<<24
-			ci := int(sig[p+4]) | int(sig[p+5])<<8 | int(sig[p+6])<<16 | int(sig[p+7])<<24
-			feas[li] = append(feas[li], ci)
+		if n := len(out); n > 0 && out[n-1].a == a && out[n-1].b == b {
+			continue
 		}
-		out = append(out, Interval{Lo: lo, Hi: hi, Feasible: feas})
+		out = append(out, window{lo: lo, hi: hi, a: a, b: b})
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("polarity: no feasible interval for κ=%g (arrival spread too large)", kappa)
 	}
 	return out, nil
+}
+
+// interval builds w's feasible lists, each leaf's candidate indices in
+// ascending order, with the membership test the sweep applied.
+func (w window) interval(cs *CandidateSet, leaves []clocktree.NodeID) Interval {
+	from, to := w.lo-1e-9, w.hi+1e-9
+	flat := make([]int, 0, w.b-w.a)
+	feas := make([][]int, len(leaves))
+	for li, leaf := range leaves {
+		start := len(flat)
+		for ci, c := range cs.ByLeaf[leaf] {
+			if c.AT >= from && c.AT <= to {
+				flat = append(flat, ci)
+			}
+		}
+		feas[li] = flat[start:len(flat):len(flat)]
+	}
+	return Interval{Lo: w.lo, Hi: w.hi, Feasible: feas}
 }

@@ -3,7 +3,7 @@ package polarity
 import (
 	"context"
 	"fmt"
-	"sort"
+	"sync"
 
 	"wavemin/internal/cell"
 	"wavemin/internal/clocktree"
@@ -129,18 +129,12 @@ func Optimize(ctx context.Context, t *clocktree.Tree, cfg Config) (*Result, erro
 		sp.SetAttr("mode", mode.Name)
 	}
 	cs := BuildCandidates(t, cfg.Library, mode)
-	intervals, err := FeasibleIntervals(cs, cfg.Kappa)
+	// Richer intervals first (degree-of-freedom pruning).
+	intervals, found, err := topIntervals(cs, cfg.Kappa, cfg.MaxIntervals)
 	if err != nil {
 		return nil, err
 	}
-	sp.Count("polarity.intervals_found", int64(len(intervals)))
-	// Richer intervals first (degree-of-freedom pruning).
-	sort.SliceStable(intervals, func(i, j int) bool {
-		return intervals[i].DegreeOfFreedom() > intervals[j].DegreeOfFreedom()
-	})
-	if cfg.MaxIntervals > 0 && len(intervals) > cfg.MaxIntervals {
-		intervals = intervals[:cfg.MaxIntervals]
-	}
+	sp.Count("polarity.intervals_found", int64(found))
 
 	tm := t.ComputeTiming(mode)
 	zones := LeafZones(PartitionZones(t, cfg.ZoneSize))
@@ -165,6 +159,7 @@ func Optimize(ctx context.Context, t *clocktree.Tree, cfg Config) (*Result, erro
 	sp.Count("polarity.zones", int64(nz))
 	sp.Count("polarity.intervals_tried", int64(len(intervals)))
 	solved := make([]zoneSolved, len(intervals)*nz)
+	bases := make([]zoneBaseline, nz)
 	ferr := parallel.ForEach(ctx, cfg.Workers, len(solved), func(k int) error {
 		ii, zi := k/nz, k%nz
 		// Per-instance sub-span at the flat fan-out index: the slot — not
@@ -177,7 +172,7 @@ func Optimize(ctx context.Context, t *clocktree.Tree, cfg Config) (*Result, erro
 			zsp.Count("zone.leaves", int64(len(zones[zi].Leaves)))
 			zctx = obs.WithSpan(ctx, zsp)
 		}
-		s, err := solveZone(zctx, t, tm, cs, zones[zi], &intervals[ii], leafIndex, cfg, zk)
+		s, err := solveZone(zctx, t, tm, cs, zones[zi], &bases[zi], &intervals[ii], leafIndex, cfg, zk)
 		if err != nil {
 			iv := &intervals[ii]
 			return fmt.Errorf("polarity: interval [%g,%g]: %w", iv.Lo, iv.Hi, err)
@@ -235,13 +230,26 @@ type zoneSolved struct {
 	reused bool
 }
 
+// zoneBaseline is one zone's Baseline, built by the first of the zone's
+// instances that solves rather than replays, and shared by the rest.
+type zoneBaseline struct {
+	once sync.Once
+	base [NumGroups]waveform.Waveform
+}
+
+func (zb *zoneBaseline) get(t *clocktree.Tree, tm *clocktree.Timing, nonLeaves []clocktree.NodeID) []waveform.Waveform {
+	zb.once.Do(func() { zb.base = Baseline(t, tm, nonLeaves) })
+	return zb.base[:]
+}
+
 // solveZone solves a single (interval, zone) instance. It runs on worker
 // goroutines: everything it touches is either read-only shared state (the
-// tree, timing, candidate set) or per-call (the zone is a value copy, so
-// the IgnoreNonLeaf mutation stays local).
+// tree, timing, candidate set, the zone's baseline once built) or
+// per-call (the zone is a value copy, so the IgnoreNonLeaf mutation stays
+// local).
 func solveZone(
 	ctx context.Context, t *clocktree.Tree, tm *clocktree.Timing, cs *CandidateSet,
-	zone Zone, iv *Interval, leafIndex map[clocktree.NodeID]int, cfg Config, zk *ZoneKeyer,
+	zone Zone, zb *zoneBaseline, iv *Interval, leafIndex map[clocktree.NodeID]int, cfg Config, zk *ZoneKeyer,
 ) (zoneSolved, error) {
 	faultinject.At(faultinject.SitePolarityZone)
 	if cfg.IgnoreNonLeaf {
@@ -270,7 +278,6 @@ func solveZone(
 				return zoneSolved{picks: sol.Picks, peak: sol.Peak, reused: true}, nil
 			}
 		}
-		base := Baseline(t, tm, zone.NonLeaves)
 		feasible := make([][]int, len(zone.Leaves))
 		layers := make([][][]waveform.Waveform, len(zone.Leaves))
 		var cands int64
@@ -283,17 +290,18 @@ func solveZone(
 			cands += int64(len(feasible[li]))
 		}
 		obs.FromContext(ctx).Count("zone.candidates", cands)
-		graph := ZoneGraph(cfg.Samples, base[:], layers)
+		graph := ZoneGraph(cfg.Samples, zb.get(t, tm, zone.NonLeaves), layers)
 		var sol mosp.Solution
 		var err error
 		switch cfg.Algorithm {
 		case ClkWaveMin:
-			sol, err = mosp.Solve(ctx, graph, mosp.Options{Epsilon: cfg.Epsilon, MaxLabels: MaxLabels})
+			sol, err = mosp.Solve(ctx, &graph.Graph, mosp.Options{Epsilon: cfg.Epsilon, MaxLabels: MaxLabels})
 		case ClkWaveMinF:
-			sol, err = mosp.SolveFast(ctx, graph)
+			sol, err = mosp.SolveFast(ctx, &graph.Graph)
 		default:
-			return zoneSolved{}, fmt.Errorf("polarity: unknown algorithm %v", cfg.Algorithm)
+			err = fmt.Errorf("polarity: unknown algorithm %v", cfg.Algorithm)
 		}
+		graph.Release()
 		if err != nil {
 			return zoneSolved{}, err
 		}

@@ -2,8 +2,17 @@ package polarity
 
 import (
 	"context"
+	"math"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
+
+	"wavemin/internal/bench"
+	"wavemin/internal/cell"
+	"wavemin/internal/clocktree"
+	"wavemin/internal/cts"
+	"wavemin/internal/waveform"
 )
 
 // TestParallelDeterminismOptimize requires bitwise-identical results from
@@ -52,4 +61,75 @@ func TestParallelDeterminismOptimize(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestParallelZoneGraphReuse builds and releases the zone graphs of a
+// bench circuit from several goroutines at once, each cycling through
+// zones of different sizes: every graph must hold exactly the weights of a
+// serial build, whichever pooled slab and hot-spot scratch it was handed.
+func TestParallelZoneGraphReuse(t *testing.T) {
+	spec, _ := bench.SpecByName("s13207")
+	lib := cell.DefaultLibrary()
+	opt := cts.DefaultOptions()
+	opt.LeafCell = "BUF_X8"
+	tree, err := spec.Synthesize(lib, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sizingConfig(lib, ClkWaveMin)
+	cs := BuildCandidates(tree, cfg.Library, clocktree.NominalMode)
+	tm := tree.ComputeTiming(clocktree.NominalMode)
+	type instance struct {
+		base   []waveform.Waveform
+		layers [][][]waveform.Waveform
+	}
+	var insts []instance
+	for _, zone := range LeafZones(PartitionZones(tree, 0)) {
+		base := Baseline(tree, tm, zone.NonLeaves)
+		layers := make([][][]waveform.Waveform, len(zone.Leaves))
+		for li, leaf := range zone.Leaves {
+			for ci := range cs.ByLeaf[leaf] {
+				layers[li] = append(layers[li], cs.ByLeaf[leaf][ci].Waves[:])
+			}
+		}
+		insts = append(insts, instance{base[:], layers})
+	}
+	// flat renders a graph's shape and every weight's bits.
+	flat := func(g *PooledGraph) []uint64 {
+		out := []uint64{uint64(len(g.Layers))}
+		for _, w := range g.Baseline {
+			out = append(out, math.Float64bits(w))
+		}
+		for _, layer := range g.Layers {
+			out = append(out, uint64(len(layer)))
+			for _, v := range layer {
+				for _, w := range v.Weight {
+					out = append(out, math.Float64bits(w))
+				}
+			}
+		}
+		return out
+	}
+	want := make([][]uint64, len(insts))
+	for i, in := range insts {
+		g := ZoneGraph(cfg.Samples, in.base, in.layers)
+		want[i] = flat(g)
+		g.Release()
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < 3*len(insts); r++ {
+				i := (w*7 + r*5) % len(insts)
+				g := ZoneGraph(cfg.Samples, insts[i].base, insts[i].layers)
+				if !slices.Equal(flat(g), want[i]) {
+					t.Errorf("goroutine %d: zone %d graph differs from the serial build", w, i)
+				}
+				g.Release()
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -1,6 +1,8 @@
 package polarity
 
 import (
+	"sync"
+
 	"wavemin/internal/cell"
 	"wavemin/internal/clocktree"
 	"wavemin/internal/mosp"
@@ -37,8 +39,9 @@ func Baseline(t *clocktree.Tree, tm *clocktree.Timing, nonLeaves []clocktree.Nod
 // (the paper's Fig. 7 capture, restricted to where current flows in this
 // zone), so every NumGroups groups add about |S| = samples dimensions:
 // one set of groups for a single mode, one per power mode for ClkWaveMin-M
-// (Fig. 12). A solution's picks index the vertices of each layer.
-func ZoneGraph(samples int, baseline []waveform.Waveform, layers [][][]waveform.Waveform) *mosp.Graph {
+// (Fig. 12). A solution's picks index the vertices of each layer. Release
+// the graph once it is solved.
+func ZoneGraph(samples int, baseline []waveform.Waveform, layers [][][]waveform.Waveform) *PooledGraph {
 	perGroup := max(1, samples/int(NumGroups))
 	nv := 0
 	for _, layer := range layers {
@@ -57,10 +60,14 @@ func ZoneGraph(samples int, baseline []waveform.Waveform, layers [][][]waveform.
 		times[g] = waveform.HotSpots(perGroup, ws...)
 		dim += len(times[g])
 	}
-	// Every weight is one exact-size window of a single slab. Sample times
+	graph := graphs.Get().(*PooledGraph)
+	if n := dim * (1 + nv); cap(graph.slab) < n {
+		graph.slab = make([]float64, n)
+	}
+	// Every weight is one exact-size window of the slab. Sample times
 	// ascend within a group, so a cursor reads each waveform with exactly
 	// At's values.
-	slab := make([]float64, dim*(1+nv))
+	slab := graph.slab
 	sample := func(w []waveform.Waveform) []float64 {
 		out := slab[:dim:dim]
 		slab = slab[dim:]
@@ -74,7 +81,8 @@ func ZoneGraph(samples int, baseline []waveform.Waveform, layers [][][]waveform.
 		}
 		return out
 	}
-	graph := &mosp.Graph{Baseline: sample(baseline), Layers: make([][]mosp.Vertex, len(layers))}
+	graph.Baseline = sample(baseline)
+	graph.Layers = make([][]mosp.Vertex, len(layers))
 	for l, layer := range layers {
 		vs := make([]mosp.Vertex, len(layer))
 		for v, w := range layer {
@@ -83,4 +91,29 @@ func ZoneGraph(samples int, baseline []waveform.Waveform, layers [][][]waveform.
 		graph.Layers[l] = vs
 	}
 	return graph
+}
+
+// PooledGraph is a zone's MOSP graph whose weights live in one slab taken
+// from a pool. Release gives the slab back once the graph has been
+// solved: a mosp.Solution owns all it returns, so it stays valid. A graph
+// that is never released is left to the collector.
+type PooledGraph struct {
+	mosp.Graph
+	slab []float64
+}
+
+var graphs = sync.Pool{New: func() any { return new(PooledGraph) }}
+
+// keepSlabBytes caps the slab a released graph returns to the pool: a
+// bigger one, for a zone of more than about 800 candidates at |S| = 158,
+// is left to the collector rather than pinned in the pool.
+const keepSlabBytes = 1 << 20
+
+// Release returns the graph's slab to the pool. Neither the graph nor any
+// weight read from it may be used afterwards.
+func (g *PooledGraph) Release() {
+	g.Graph = mosp.Graph{}
+	if 8*cap(g.slab) <= keepSlabBytes {
+		graphs.Put(g)
+	}
 }

@@ -155,7 +155,8 @@ func solveModeZone(
 		}
 	}
 	graph := polarity.ZoneGraph(samples, base[:], layers)
-	sol, err := mosp.Solve(ctx, graph, mosp.Options{Epsilon: 0.01})
+	sol, err := mosp.Solve(ctx, &graph.Graph, mosp.Options{Epsilon: 0.01})
+	graph.Release()
 	if err != nil {
 		return modeZoneOut{}, err
 	}

@@ -136,7 +136,10 @@ func TestInvariantPropertiesMultiMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := d.PartitionVoltageIslands(3)
+	names, err := d.PartitionVoltageIslands(3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := d.SetModes(spec.Modes(names, 2)); err != nil {
 		t.Fatal(err)
 	}

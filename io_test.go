@@ -120,7 +120,10 @@ func TestLoadTreeLeavesSharedLibraryUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	domains := d.PartitionVoltageIslands(2)
+	domains, err := d.PartitionVoltageIslands(2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := d.SetModes([]Mode{
 		{Name: "M1", Supplies: map[string]float64{domains[0]: 1.1, domains[1]: 1.1}},
 		{Name: "M2", Supplies: map[string]float64{domains[0]: 0.9, domains[1]: 1.1}},

@@ -315,11 +315,14 @@ func BenchmarkNames() []string {
 
 // PartitionVoltageIslands splits the die into n region-based voltage
 // domains, assigns every tree node to its region, and returns the domain
-// names (for building Modes).
-func (d *Design) PartitionVoltageIslands(n int) []string {
+// names (for building Modes). n must be at least 1.
+func (d *Design) PartitionVoltageIslands(n int) ([]string, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("wavemin: %d voltage islands requested, need at least 1", n)
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return bench.AssignDomains(d.Tree, d.dieW, d.dieH, n)
+	return bench.AssignDomains(d.Tree, d.dieW, d.dieH, n), nil
 }
 
 // SetModes declares the design's power modes. At least one is required,

@@ -1,6 +1,7 @@
 package wavemin
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"strings"
@@ -93,7 +94,10 @@ func TestMultiModeOptimize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	domains := d.PartitionVoltageIslands(4)
+	domains, err := d.PartitionVoltageIslands(4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(domains) != 4 {
 		t.Fatalf("domains = %v", domains)
 	}
@@ -116,6 +120,25 @@ func TestMultiModeOptimize(t *testing.T) {
 	}
 }
 
+// TestPartitionVoltageIslandsRejectsCount: an island count below one is
+// refused with an error, and the tree's domains are left as they were.
+func TestPartitionVoltageIslandsRejectsCount(t *testing.T) {
+	d, err := Benchmark("s13207")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := treeJSON(t, d)
+	for _, n := range []int{0, -3} {
+		names, err := d.PartitionVoltageIslands(n)
+		if err == nil || !strings.Contains(err.Error(), "at least 1") {
+			t.Fatalf("n=%d: names %v, err %v, want an at-least-1 error", n, names, err)
+		}
+	}
+	if !bytes.Equal(before, treeJSON(t, d)) {
+		t.Fatal("a refused partition modified the tree")
+	}
+}
+
 func TestSetModesValidation(t *testing.T) {
 	d, err := New(gridSinks(4))
 	if err != nil {
@@ -134,7 +157,10 @@ func TestSetModesRejectsImpossibleSupplies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	domains := d.PartitionVoltageIslands(2)
+	domains, err := d.PartitionVoltageIslands(2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, sup := range []map[string]float64{
 		{domains[0]: -1, domains[1]: 0},
 		{domains[0]: math.NaN(), domains[1]: 1.1},
@@ -205,7 +231,10 @@ func TestDynamicPolarityViaFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	domains := d.PartitionVoltageIslands(2)
+	domains, err := d.PartitionVoltageIslands(2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := d.SetModes([]Mode{
 		{Name: "M1", Supplies: map[string]float64{domains[0]: 1.1, domains[1]: 1.1}},
 		{Name: "M2", Supplies: map[string]float64{domains[0]: 0.9, domains[1]: 1.1}},
